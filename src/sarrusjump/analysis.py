@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import bisect, brentq
 
 from .dynamics import (
     TAKE_OFF,
@@ -21,6 +20,7 @@ from .dynamics import (
 )
 from .elastic import ElasticModel
 from .geometry import LegAngleInterval, LinkageGeometry
+from .thrust import leg_forces
 
 SADDLE = "Saddle"
 CENTER = "Center"
@@ -51,6 +51,59 @@ def _undamped(masses: MassModel) -> MassModel:
     return masses if masses.mu_C == 0.0 else replace(masses, mu_C=0.0)
 
 
+_BRENT_XTOL = 1e-14
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, rtol=4 * np.finfo(float).eps):
+    """Root of f in [xa, xb]: a step-for-step port of scipy.optimize.brentq
+    at xtol=_BRENT_XTOL and maxiter=_BRENT_MAXITER, with the same floats and
+    the same ValueError (NaN, no sign change) and RuntimeError."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"function value at x={x:.6g} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
 def find_equilibria(
     geom: LinkageGeometry,
     model: ElasticModel,
@@ -70,7 +123,7 @@ def find_equilibria(
     dm = _LegDynamics(geom, model, _undamped(masses), exact_derivative)
 
     def torque(th):
-        _, co, _, _, _, f_y = dm.forces(th)
+        _, co, _, _, _, f_y = leg_forces(geom, model.force, th, exact_derivative)
         return co * (dm.g * dm.M3 - 4.0 * f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
@@ -83,8 +136,7 @@ def find_equilibria(
         if v0 == 0.0:
             roots.append(float(grid[i]))
         elif v0 * v1 < 0.0:
-            roots.append(float(bisect(torque, float(grid[i]), float(grid[i + 1]),
-                                      xtol=1e-14)))
+            roots.append(_brentq(torque, float(grid[i]), float(grid[i + 1])))
     if values[-1] == 0.0:
         roots.append(float(grid[-1]))
     # The cos(theta) factor vanishes at pi/2 without a sign change when the
@@ -335,5 +387,5 @@ def identify_mu(
             f"target v0 {target_v0} below the slowest damped jump "
             f"({v0_hi:.6g} m/s just under the stiction threshold)")
 
-    return float(brentq(lambda mu: v0_at(mu) - target_v0, 0.0, mu_hi,
-                        xtol=1e-14, rtol=max(rel_tol, 8.9e-16)))
+    return _brentq(lambda mu: v0_at(mu) - target_v0, 0.0, mu_hi,
+                   rtol=max(rel_tol, 8.9e-16))

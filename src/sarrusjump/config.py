@@ -9,9 +9,11 @@ Coulomb coefficient.  Set masses.mu_C to 0 for the undamped ideal.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .dynamics import MassModel, SimOptions
@@ -51,10 +53,10 @@ DEFAULT_CONFIG = {
     },
 }
 
-_ELASTIC_KEYS = {
-    "linear": {"model", "k"},
-    "gaussian": {"model", "C0", "T"},
-    "mooney_rivlin": {"model", "C1", "C2"},
+_LAWS = {
+    "linear": LinearSpring,
+    "gaussian": GaussianBand,
+    "mooney_rivlin": MooneyRivlinBand,
 }
 
 
@@ -133,30 +135,44 @@ def build_config(cfg: dict) -> RunConfig:
         if section not in cfg:
             raise ValueError(f"missing config section {section!r}")
 
-    geometry = LinkageGeometry(**{k: float(v) for k, v in cfg["geometry"].items()})
-    masses = MassModel(**{k: float(v) for k, v in cfg["masses"].items()})
-    sim = SimOptions(**{k: float(v) for k, v in cfg["sim"].items()})
+    geometry = LinkageGeometry(**_numbers(cfg, "geometry"))
+    masses = MassModel(**_numbers(cfg, "masses"))
+    sim = SimOptions(**_numbers(cfg, "sim"))
 
     elastic_cfg = cfg["elastic"]
     kind = elastic_cfg.get("model")
-    if kind not in _ELASTIC_KEYS:
+    if kind not in _LAWS:
         raise ValueError(
-            f"elastic.model must be one of {sorted(_ELASTIC_KEYS)}, got {kind!r}")
-    extra = set(elastic_cfg) - _ELASTIC_KEYS[kind]
+            f"elastic.model must be one of {sorted(_LAWS)}, got {kind!r}")
+    law = _LAWS[kind]
+    names = {f.name for f in fields(law)}
+    # The rest length and cross section come from the geometry section.
+    shared = {key: getattr(geometry, key) for key in ("l0", "A0") if key in names}
+    keys = names - set(shared)
+    extra = set(elastic_cfg) - keys - {"model"}
     if extra:
         raise ValueError(f"unknown elastic keys for {kind}: {sorted(extra)}")
-    missing = _ELASTIC_KEYS[kind] - set(elastic_cfg)
+    missing = keys - set(elastic_cfg)
     if missing:
         raise ValueError(f"missing elastic keys for {kind}: {sorted(missing)}")
-
-    if kind == "linear":
-        elastic = LinearSpring(k=float(elastic_cfg["k"]), l0=geometry.l0)
-    elif kind == "gaussian":
-        elastic = GaussianBand(C0=float(elastic_cfg["C0"]), T=float(elastic_cfg["T"]),
-                               l0=geometry.l0, A0=geometry.A0)
-    else:
-        elastic = MooneyRivlinBand(C1=float(elastic_cfg["C1"]), C2=float(elastic_cfg["C2"]),
-                                   l0=geometry.l0, A0=geometry.A0)
+    elastic = law(**shared, **{key: _number(f"elastic.{key}", elastic_cfg[key])
+                               for key in sorted(keys)})
 
     return RunConfig(geometry=geometry, masses=masses, elastic=elastic,
                      sim=sim, raw=copy.deepcopy(cfg))
+
+
+def _number(key: str, value) -> float:
+    """value as a finite float; booleans and non-numbers are rejected."""
+    number = math.nan
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(cfg: dict, section: str) -> dict:
+    return {key: _number(f"{section}.{key}", value)
+            for key, value in cfg[section].items()}

@@ -30,19 +30,14 @@ explicit static-friction check before motion starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .elastic import (
-    ElasticModel,
-    GaussianBand,
-    LinearSpring,
-    MooneyRivlinBand,
-    stored_energy,
-)
-from .geometry import SQRT3, LinkageGeometry, stretch
+from .elastic import ElasticModel, stored_energy
+from .geometry import ARM_FLOOR, SQRT3, LinkageGeometry, stretch
+from .thrust import leg_forces
 
 TAKE_OFF = "TakeOff"
 STICTION = "Stiction"
@@ -182,12 +177,9 @@ class EnergyAudit:
 
 @dataclass(frozen=True)
 class JumpSummary:
-    """Scalar outcomes of one jump simulation (per-leg bookkeeping)."""
+    """Scalar outcomes of one jump simulation (per-leg), in summary.json order."""
 
-    termination: str
-    termination_detail: str
     t_off_s: float
-    h_dot_off_mps: float
     v0_mps: float
     h_max_m: float
     t_aer_s: float
@@ -195,89 +187,36 @@ class JumpSummary:
     E_P0_J: float
     E_K_J: float
     friction_work_J: float
+    termination: str
+    termination_detail: str
+    h_dot_off_mps: float
     audit: EnergyAudit
     m_T_kg: float
 
     def to_dict(self) -> dict:
         """JSON layout; whole-machine totals are the per-leg values times 3."""
-        return {
-            "t_off_s": self.t_off_s,
-            "v0_mps": self.v0_mps,
-            "h_max_m": self.h_max_m,
-            "t_aer_s": self.t_aer_s,
+        out = asdict(self)
+        out["whole_robot"] = {
+            "m_T_kg": 3.0 * out.pop("m_T_kg"),
+            "E_P0_J": 3.0 * self.E_P0_J,
+            "E_K_J": 3.0 * self.E_K_J,
             "eta_pct": self.eta_pct,
-            "E_P0_J": self.E_P0_J,
-            "E_K_J": self.E_K_J,
-            "friction_work_J": self.friction_work_J,
-            "termination": self.termination,
-            "termination_detail": self.termination_detail,
-            "h_dot_off_mps": self.h_dot_off_mps,
-            "audit": {
-                "thrust_work_J": self.audit.thrust_work_J,
-                "kinetic_J": self.audit.kinetic_J,
-                "gravity_delta_J": self.audit.gravity_delta_J,
-                "friction_work_J": self.audit.friction_work_J,
-                "residual_J": self.audit.residual_J,
-                "band_energy_released_J": self.audit.band_energy_released_J,
-                "band_energy_residual_J": self.audit.band_energy_residual_J,
-                "virtual_work_excess_J": self.audit.virtual_work_excess_J,
-            },
-            "whole_robot": {
-                "m_T_kg": 3.0 * self.m_T_kg,
-                "E_P0_J": 3.0 * self.E_P0_J,
-                "E_K_J": 3.0 * self.E_K_J,
-                "eta_pct": self.eta_pct,
-                "v0_mps": self.v0_mps,
-            },
+            "v0_mps": self.v0_mps,
         }
-
-
-def _band_force_fn(model: ElasticModel):
-    """Slack-clamped force closure, specialised per drive law for speed."""
-    if isinstance(model, LinearSpring):
-        k_l0 = model.k * model.l0
-
-        def force(lam):
-            return k_l0 * (lam - 1.0) if lam > 1.0 else 0.0
-
-    elif isinstance(model, GaussianBand):
-        c0t = model.C0 * model.T
-
-        def force(lam):
-            return c0t * (lam - 1.0 / (lam * lam)) if lam > 1.0 else 0.0
-
-    elif isinstance(model, MooneyRivlinBand):
-        a0c1 = 2.0 * model.A0 * model.C1
-        a0c2 = 2.0 * model.A0 * model.C2
-
-        def force(lam):
-            if lam <= 1.0:
-                return 0.0
-            inv2 = 1.0 / (lam * lam)
-            return a0c1 * (lam - inv2) + a0c2 * (1.0 - inv2 / lam)
-
-    else:
-        raise TypeError(f"unknown elastic model {type(model).__name__}")
-    return force
+        return out
 
 
 class _LegDynamics:
     """Bound-parameter evaluator for the decompression equation of motion."""
 
-    __slots__ = (
-        "a", "a2", "p", "q", "c", "l0", "m1", "m_T", "g", "mu_C",
-        "M1", "M2", "M3", "M4", "I4", "half_I", "band", "band_energy",
-        "exact",
-    )
+    __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
+                 "I4", "half_I", "geom", "force", "energy", "exact")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel,
                  masses: MassModel, exact: bool = False):
         self.a = geom.a
         self.a2 = geom.a * geom.a
         self.p = geom.p
-        self.q = geom.q
-        self.c = geom.c
-        self.l0 = geom.l0
         self.m1 = masses.m1
         self.m_T = masses.m_T
         self.g = masses.g
@@ -285,31 +224,14 @@ class _LegDynamics:
         self.M1, self.M2, self.M3, self.M4 = masses.mass_coefficients()
         self.I4 = 4.0 * (masses.I1 + masses.I2)
         self.half_I = 0.5 * (masses.I1 + masses.I2)
-        self.band = _band_force_fn(model)
-        self.band_energy = lambda lam: stored_energy(model, lam)
+        self.geom = geom
+        self.force = model.force
+        self.energy = model.energy
         self.exact = exact
-
-    def forces(self, theta):
-        """(sin, cos, h, lam, F_l, F_y) at the given leg angle."""
-        s = math.sin(theta)
-        co = math.cos(theta)
-        h = 2.0 * (self.a * s + self.p)
-        # u > 0 on [0, pi/2); the floor only guards RK4 substage overshoot
-        # past the hard stop.
-        u = max(self.a * co + self.q, 1e-12)
-        lam = (self.c + SQRT3 * u) / self.l0
-        f_l = self.band(lam)
-        if f_l == 0.0:
-            return s, co, h, lam, 0.0, 0.0
-        if self.exact:
-            slope = 0.5 * SQRT3 * s / max(co, 1e-12)
-        else:
-            slope = SQRT3 * h / (4.0 * u)
-        return s, co, h, lam, f_l, f_l * slope
 
     def derivatives(self, theta, theta_dot):
         """(theta_dot, theta_ddot, friction power, thrust power)."""
-        s, co, h, lam, f_l, f_y = self.forces(theta)
+        s, co, _, _, _, f_y = leg_forces(self.geom, self.force, theta, self.exact)
         sin2 = 2.0 * s * co
         cos2 = co * co - s * s
         denom = self.a2 * (4.0 * self.M1 * cos2 + self.M2) + self.I4
@@ -336,8 +258,9 @@ class _LegDynamics:
         return (self.m_T - self.m1) * hdd + self.m_T * self.g
 
     def stretch_at(self, theta):
-        u = max(self.a * math.cos(theta) + self.q, 1e-12)
-        return (self.c + SQRT3 * u) / self.l0
+        """lambda alone, as leg_forces computes it, for the event checks."""
+        geom = self.geom
+        return (geom.c + SQRT3 * max(geom.a * math.cos(theta) + geom.q, ARM_FLOOR)) / geom.l0
 
     def kinetic(self, theta, theta_dot):
         cos2 = math.cos(2.0 * theta)
@@ -351,19 +274,19 @@ class _LegDynamics:
 
     def static_margin(self, theta):
         """Net starting torque minus the Coulomb threshold; <= 0 means stuck."""
-        _, co, _, _, _, f_y = self.forces(theta)
+        _, co, _, _, _, f_y = leg_forces(self.geom, self.force, theta, self.exact)
         return 2.0 * self.a * co * abs(self.g * self.M3 / 4.0 - f_y) - self.mu_C
 
     def observe(self, t, theta, theta_dot):
         """One trajectory row (13 columns)."""
-        s, co, h, lam, f_l, f_y = self.forces(theta)
+        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.force, theta, self.exact)
         _, tdd, _, _ = self.derivatives(theta, theta_dot)
         h_dot = 2.0 * self.a * co * theta_dot
         h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
         f_n = (self.m_T - self.m1) * h_dd + self.m_T * self.g
         return (t, theta, theta_dot, h, h_dot, h_dd, lam, f_l, f_y, f_n,
                 self.kinetic(theta, theta_dot), self.potential(theta),
-                self.band_energy(lam))
+                self.energy(lam))
 
 
 def _rk4(dm: _LegDynamics, y, dt):

@@ -2,8 +2,9 @@
 
 Three interchangeable force-stretch laws are supported: an ideal linear
 spring, a Gaussian (statistical, temperature-proportional) rubber law, and a
-two-coefficient Mooney-Rivlin law.  All of them are slack-clamped: the band
-exerts no force below its rest length (stretch ratio lambda < 1).
+two-coefficient Mooney-Rivlin law, each with force(lam) and energy(lam)
+methods that every caller shares.  All of them are slack-clamped: the band
+exerts no force at or below its rest length (stretch ratio lambda <= 1).
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ class LinearSpring:
         _require_nonneg(k=self.k)
         _require_pos(l0=self.l0)
 
+    def force(self, lam):
+        return self.k * self.l0 * (lam - 1.0) if lam > 1.0 else 0.0
+
+    def energy(self, lam):
+        d = lam - 1.0
+        return 0.0 if lam <= 1.0 else 0.5 * self.k * self.l0 * self.l0 * d * d
+
 
 @dataclass(frozen=True)
 class GaussianBand:
@@ -47,6 +55,13 @@ class GaussianBand:
         _require_nonneg(C0=self.C0, T=self.T)
         _require_pos(l0=self.l0, A0=self.A0)
 
+    def force(self, lam):
+        return self.C0 * self.T * (lam - 1.0 / (lam * lam)) if lam > 1.0 else 0.0
+
+    def energy(self, lam):
+        return 0.0 if lam <= 1.0 else (
+            self.C0 * self.T * self.l0 * (0.5 * lam * lam + 1.0 / lam - 1.5))
+
 
 @dataclass(frozen=True)
 class MooneyRivlinBand:
@@ -61,13 +76,25 @@ class MooneyRivlinBand:
         _require_nonneg(C1=self.C1, C2=self.C2)
         _require_pos(l0=self.l0, A0=self.A0)
 
+    def force(self, lam):
+        if lam <= 1.0:
+            return 0.0
+        inv2 = 1.0 / (lam * lam)
+        return (2.0 * self.A0 * self.C1 * (lam - inv2)
+                + 2.0 * self.A0 * self.C2 * (1.0 - inv2 / lam))
+
+    def energy(self, lam):
+        d = lam - 1.0
+        bracket = self.C1 * lam * (lam + 2.0) + 2.0 * self.C2 * lam + self.C2
+        return 0.0 if lam <= 1.0 else self.A0 * self.l0 / (lam * lam) * d * d * bracket
+
 
 ElasticModel = Union[LinearSpring, GaussianBand, MooneyRivlinBand]
 
 
 def _require_pos(**fields):
     for name, value in fields.items():
-        if value <= 0.0:
+        if not value > 0.0:  # NaN fails too
             raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -92,21 +119,9 @@ class ForceStretchSample:
 
 
 def drive_force(model: ElasticModel, lam: float) -> float:
-    """Band tension at stretch ratio lam; exactly 0 when slack (lam < 1)."""
-    if lam <= 0.0:
-        raise ValueError(f"stretch ratio must be positive, got {lam}")
-    if lam < 1.0:
-        return 0.0
-    if isinstance(model, LinearSpring):
-        return model.k * model.l0 * (lam - 1.0)
-    if isinstance(model, GaussianBand):
-        return model.C0 * model.T * (lam - 1.0 / (lam * lam))
-    if isinstance(model, MooneyRivlinBand):
-        inv2 = 1.0 / (lam * lam)
-        return model.A0 * (
-            2.0 * model.C1 * (lam - inv2) + 2.0 * model.C2 * (1.0 - inv2 / lam)
-        )
-    raise TypeError(f"unknown elastic model {type(model).__name__}")
+    """Band tension at stretch ratio lam; exactly 0 when slack (lam <= 1)."""
+    _require_pos(lam=lam)
+    return model.force(lam)
 
 
 def stored_energy(model: ElasticModel, lam: float) -> float:
@@ -114,20 +129,8 @@ def stored_energy(model: ElasticModel, lam: float) -> float:
 
     Zero for lam <= 1; continuous at lam = 1.
     """
-    if lam <= 0.0:
-        raise ValueError(f"stretch ratio must be positive, got {lam}")
-    if lam <= 1.0:
-        return 0.0
-    if isinstance(model, LinearSpring):
-        d = lam - 1.0
-        return 0.5 * model.k * model.l0 * model.l0 * d * d
-    if isinstance(model, GaussianBand):
-        return model.C0 * model.T * model.l0 * (0.5 * lam * lam + 1.0 / lam - 1.5)
-    if isinstance(model, MooneyRivlinBand):
-        d = lam - 1.0
-        bracket = model.C1 * lam * (lam + 2.0) + 2.0 * model.C2 * lam + model.C2
-        return model.A0 * model.l0 / (lam * lam) * d * d * bracket
-    raise TypeError(f"unknown elastic model {type(model).__name__}")
+    _require_pos(lam=lam)
+    return model.energy(lam)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ SQRT3 = math.sqrt(3.0)
 
 _EPS = 1e-9
 
+# a cos(theta) + q > 0 on [0, pi/2); the floor only keeps the anchor
+# separation positive past the hard stop (RK4 substage overshoot).
+ARM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class LinkageGeometry:
@@ -69,9 +73,15 @@ def _check_theta(theta: float) -> None:
 
 
 def height(geom: LinkageGeometry, theta: float) -> float:
-    """Linkage height h = 2 a sin(theta) + 2 p.  Strictly increasing in theta."""
+    """Linkage height h = 2 (a sin(theta) + p).  Strictly increasing in theta."""
     _check_theta(theta)
-    return 2.0 * geom.a * math.sin(theta) + 2.0 * geom.p
+    return 2.0 * (geom.a * math.sin(theta) + geom.p)
+
+
+def check_pose(geom: LinkageGeometry, theta: float) -> None:
+    """Raise unless theta lies in [0, pi/2] with a positive linkage height."""
+    if height(geom, theta) <= 0.0:
+        raise ValueError("anchor distance undefined at zero linkage height (h <= 0)")
 
 
 def effective_leg(geom: LinkageGeometry, theta: float) -> float:
@@ -92,22 +102,13 @@ def effective_leg(geom: LinkageGeometry, theta: float) -> float:
 def anchor_distance(geom: LinkageGeometry, theta: float) -> float:
     """Band anchor separation l between the knees of adjacent legs.
 
-    l = c + sqrt(12 b^2 h^4 - 3 h^6) / (2 h^2), which simplifies to
-    c + (sqrt(3)/2) sqrt(4 b^2 - h^2).  Raises when h <= 0 or when the
-    radicand is negative (configuration not representable).
+    The printed form c + sqrt(12 b^2 h^4 - 3 h^6) / (2 h^2) equals
+    c + (sqrt(3)/2) sqrt(4 b^2 - h^2), and 4 b^2 - h^2 = 4 (a cos(theta) + q)^2,
+    so l = c + sqrt(3) (a cos(theta) + q) exactly, evaluated as in
+    thrust.leg_forces.  Raises when h <= 0, where the printed form is undefined.
     """
-    _check_theta(theta)
-    h = height(geom, theta)
-    if h <= 0.0:
-        raise ValueError("anchor distance undefined at zero linkage height (h <= 0)")
-    b = effective_leg(geom, theta)
-    h2 = h * h
-    radicand = 12.0 * b * b * h2 * h2 - 3.0 * h2 * h2 * h2
-    if radicand < 0.0:
-        raise ValueError(
-            f"non-representable configuration at theta={theta}: 4 b^2 < h^2"
-        )
-    return geom.c + math.sqrt(radicand) / (2.0 * h2)
+    check_pose(geom, theta)
+    return geom.c + SQRT3 * max(geom.a * math.cos(theta) + geom.q, ARM_FLOOR)
 
 
 def stretch(geom: LinkageGeometry, theta: float) -> float:

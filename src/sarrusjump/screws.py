@@ -107,22 +107,22 @@ class ScrewSystem:
             return np.zeros((0, 6))
         return np.vstack([s.as_array() for s in self.screws])
 
-    def rank(self) -> int:
-        """Numeric rank by singular values.
-
-        Threshold tau = max(dimensions) * eps * sigma_max, or
-        rank_rtol * sigma_max when a tolerance was supplied.
-        """
-        m = self.matrix()
-        if m.size == 0:
-            return 0
-        sigma = np.linalg.svd(m, compute_uv=False)
-        if sigma[0] == 0.0:
+    def _svd_rank(self, sigma: np.ndarray, shape: tuple) -> int:
+        """Count of sigma > rtol * sigma_max, with rtol = rank_rtol, or
+        max(shape) * eps when rank_rtol is None."""
+        if sigma.size == 0 or sigma[0] == 0.0:
             return 0
         rtol = self.rank_rtol
         if rtol is None:
-            rtol = max(m.shape) * np.finfo(float).eps
+            rtol = max(shape) * np.finfo(float).eps
         return int(np.sum(sigma > rtol * sigma[0]))
+
+    def rank(self) -> int:
+        """Numeric rank by singular values."""
+        m = self.matrix()
+        if m.size == 0:
+            return 0
+        return self._svd_rank(np.linalg.svd(m, compute_uv=False), m.shape)
 
     def reciprocal(self) -> "ScrewSystem":
         """All screws reciprocal to every screw here.
@@ -136,10 +136,7 @@ class ScrewSystem:
                                self.rank_rtol)
         a = m @ _PAIRING
         _, sigma, vh = np.linalg.svd(a)
-        rtol = self.rank_rtol
-        if rtol is None:
-            rtol = max(a.shape) * np.finfo(float).eps
-        rank = int(np.sum(sigma > rtol * sigma[0])) if sigma[0] > 0 else 0
+        rank = self._svd_rank(sigma, a.shape)
         return ScrewSystem([Screw.from_array(row) for row in vh[rank:]],
                            self.rank_rtol)
 
@@ -149,11 +146,7 @@ class ScrewSystem:
         if m.size == 0:
             return np.zeros((6, 0))
         _, sigma, vh = np.linalg.svd(m)
-        if sigma.size == 0 or sigma[0] == 0.0:
-            return np.zeros((6, 0))
-        rtol = self.rank_rtol or max(m.shape) * np.finfo(float).eps
-        rank = int(np.sum(sigma > rtol * sigma[0]))
-        return vh[:rank].T
+        return vh[:self._svd_rank(sigma, m.shape)].T
 
 
 def subspace_angle(system_a: ScrewSystem, system_b: ScrewSystem) -> float:
@@ -199,13 +192,9 @@ class SarrusMechanism:
                 out.append(arr)
             return tuple(out)
 
-        object.__setattr__(self, "normals", freeze(self.normals))
-        object.__setattr__(self, "r_A", freeze(self.r_A))
-        object.__setattr__(self, "r_B", freeze(self.r_B))
-        object.__setattr__(self, "r_C", freeze(self.r_C))
-        e_c = np.array(self.e_C, dtype=float).reshape(3)
-        e_c.flags.writeable = False
-        object.__setattr__(self, "e_C", e_c)
+        for name in ("normals", "r_A", "r_B", "r_C"):
+            object.__setattr__(self, name, freeze(getattr(self, name)))
+        object.__setattr__(self, "e_C", freeze([self.e_C])[0])
         if self.strict:
             self._validate()
 

@@ -3,6 +3,10 @@
 The vertical thrust is the band tension scaled by the gradient of the anchor
 separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
+
+leg_forces evaluates theta -> (h, lambda, F_l, F_y) for the scalar API and the
+integrator; anchor_distance and stretch_at repeat its stretch line for speed,
+and an exact-equality test keeps the three copies in step.
 """
 
 from __future__ import annotations
@@ -12,16 +16,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import ElasticModel, drive_force
+from .elastic import ElasticModel
 from .geometry import (
+    ARM_FLOOR,
     SQRT3,
     LegAngleInterval,
     LinkageGeometry,
+    _check_theta,
     anchor_distance,
+    check_pose,
     effective_leg,
     height,
-    stretch,
 )
+
+
+def leg_forces(geom: LinkageGeometry, force, theta: float, exact: bool):
+    """(sin, cos, h, lambda, F_l, F_y) at leg angle theta, unchecked.
+
+    force is a band law's force method.  The anchor separation is the
+    reduced l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope
+    convention selected by exact.
+    """
+    s = math.sin(theta)
+    co = math.cos(theta)
+    h = 2.0 * (geom.a * s + geom.p)
+    u = geom.a * co + geom.q
+    if u < ARM_FLOOR:  # an if, not max(): this runs in every RHS evaluation
+        u = ARM_FLOOR
+    lam = (geom.c + SQRT3 * u) / geom.l0
+    f_l = force(lam)
+    if f_l == 0.0:
+        return s, co, h, lam, 0.0, 0.0
+    if exact:
+        slope = 0.5 * SQRT3 * s / max(co, 1e-12)
+    else:
+        slope = SQRT3 * h / (4.0 * u)
+    return s, co, h, lam, f_l, f_l * slope
 
 
 def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
@@ -29,24 +59,16 @@ def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
 
     Default convention: the effective anchor arm b is treated as locally
     constant while differentiating l with respect to h, giving
-    sqrt(3) h / (2 sqrt(4 b^2 - h^2)).  This is exact for a single-pin knee
-    (p = q = 0) and approximate otherwise.
+    sqrt(3) h / (2 sqrt(4 b^2 - h^2)) = sqrt(3) h / (4 (a cos(theta) + q)).
+    This is exact for a single-pin knee (p = q = 0) and approximate
+    otherwise.
 
     With exact=True the full chain rule through theta is used,
     (dl/dtheta)/(dh/dtheta) = (sqrt(3)/2) tan(theta), which accounts for the
     knee anchor offsets as well.
     """
-    if exact:
-        co = math.cos(theta)
-        if co <= 0.0:
-            return math.inf
-        return 0.5 * SQRT3 * math.sin(theta) / co
-    h = height(geom, theta)
-    b = effective_leg(geom, theta)
-    radicand = 4.0 * b * b - h * h
-    if radicand <= 0.0:
-        return math.inf
-    return SQRT3 * h / (2.0 * math.sqrt(radicand))
+    _check_theta(theta)
+    return leg_forces(geom, lambda lam: 1.0, theta, exact)[5]  # F_l = 1
 
 
 def thrust_force(
@@ -57,11 +79,8 @@ def thrust_force(
     Zero whenever the band is slack.  See dl_dh for the derivative
     convention selected by ``exact``.
     """
-    lam = stretch(geom, theta)
-    f_l = drive_force(model, lam)
-    if f_l == 0.0:
-        return 0.0
-    return f_l * dl_dh(geom, theta, exact=exact)
+    check_pose(geom, theta)
+    return leg_forces(geom, model.force, theta, exact)[5]
 
 
 def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:
@@ -69,7 +88,8 @@ def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:
 
     F_y = k h [2 sqrt(3) (c - l0) h^2 + 3 sqrt((4 b^2 - h^2) h^4)]
           / (4 sqrt((4 b^2 - h^2) h^4)),
-    slack-clamped to zero when l < l0.
+    slack-clamped to zero when l < l0.  The paper's printed form, kept as
+    an independent oracle for thrust_force; no computation path uses it.
     """
     if k < 0.0:
         raise ValueError(f"stiffness must be non-negative, got {k}")
@@ -155,17 +175,10 @@ def thrust_profile(
     """Uniform theta sampling of (h, lambda, F_l, F_y) over the interval."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
+    check_pose(geom, interval.theta_min)  # h grows with theta
     theta = np.linspace(interval.theta_min, interval.theta_max, n_samples)
-    h = np.empty(n_samples)
-    lam = np.empty(n_samples)
-    f_l = np.empty(n_samples)
-    f_y = np.empty(n_samples)
-    for i, th in enumerate(theta):
-        th = float(th)
-        h[i] = height(geom, th)
-        lam[i] = stretch(geom, th)
-        f_l[i] = drive_force(model, lam[i])
-        f_y[i] = 0.0 if f_l[i] == 0.0 else f_l[i] * dl_dh(geom, th, exact=exact)
+    rows = [leg_forces(geom, model.force, th, exact) for th in theta.tolist()]
+    _, _, h, lam, f_l, f_y = (np.array(col) for col in zip(*rows))
     h_max = h.max()
     fy_max = f_y.max()
     return ThrustProfile(

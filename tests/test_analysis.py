@@ -1,11 +1,16 @@
-"""Equilibria, phase portraits, sensitivity sweeps and friction
-identification."""
+"""Equilibria, phase portraits, sensitivity sweeps, friction
+identification and the root finder behind them."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarrusjump
 from sarrusjump import (
     CENTER,
     SADDLE,
@@ -18,6 +23,8 @@ from sarrusjump import (
     stiction_threshold,
     thrust_force,
 )
+import sarrusjump.analysis as analysis_module
+from sarrusjump.analysis import _brentq
 from sarrusjump.dynamics import _integrate_raw, _LegDynamics
 
 from params import (
@@ -237,3 +244,59 @@ def test_stiction_threshold_matches_hand_formula():
         M_FREE.g * m3c / 4.0 - thrust_force(GEOM, MR, 0.066))
     assert stiction_threshold(GEOM, MR, M_FREE, 0.066) == pytest.approx(
         expected, rel=1e-12)
+
+
+# ── root finding ──────────────────────────────────────────────────────────
+
+BRENT_CASES = (
+    (lambda x: math.sin(x) - 0.3, -1.0, 1.2),
+    (lambda x: x**3 - 2 * x - 5, 1.0, 3.5),
+    (lambda x: math.exp(x) - 3.0, -2.0, 4.0),
+    (lambda x: 1e-3 * math.atan(x - 0.7), -3.0, 2.0),
+    (lambda x: (x - 1.3) ** 5, 0.0, 4.0),
+)
+
+
+def _outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_brent_port_matches_scipy_brentq():
+    """Same float result, or the same error, as scipy.optimize.brentq at
+    xtol=1e-14 over many brackets and relative tolerances."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        for f, lo, hi in BRENT_CASES:
+            a = float(rng.uniform(lo, lo + 0.3))
+            b = float(rng.uniform(hi - 0.3, hi))
+            for rtol in (8.9e-16, 1e-6, 1e-3):
+                assert _outcome(_brentq, f, a, b, rtol=rtol) == _outcome(
+                    brentq, f, a, b, xtol=1e-14, rtol=rtol)
+
+
+def test_brent_port_errors_match_scipy(monkeypatch):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    nan_after = lambda x: math.nan if x > 0.6 else x - 0.5  # noqa: E731
+    cubic = lambda x: x**3 - 2 * x - 5  # noqa: E731
+    for solver in (brentq, _brentq):
+        with pytest.raises(ValueError, match="NaN"):
+            solver(nan_after, 0.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(cubic, 1.0, 3.5, xtol=1e-14, maxiter=2)
+    monkeypatch.setattr(analysis_module, "_BRENT_MAXITER", 2)
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(cubic, 1.0, 3.5)
+
+
+def test_package_import_leaves_scipy_out():
+    code = "import sys, sarrusjump; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sarrusjump.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

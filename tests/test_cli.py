@@ -85,6 +85,31 @@ def test_config_invariants_revalidated():
         build_config(cfg)
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("masses.mu_C=NaN", "masses.mu_C must be a finite number, got nan"),
+    ("masses.g=Infinity", "masses.g must be a finite number, got inf"),
+    ("masses.m1=true", "masses.m1 must be a finite number, got True"),
+    ("sim.step=null", "sim.step must be a finite number, got None"),
+])
+def test_config_rejects_bad_numbers(assignment, message):
+    cfg = apply_overrides(default_config(), [assignment])
+    with pytest.raises(ValueError, match=message):
+        build_config(cfg)
+
+
+def test_config_rejects_bad_elastic_number(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"elastic": {"model": "linear", "k": NaN}}')
+    with pytest.raises(ValueError, match="elastic.k must be a finite number"):
+        build_config(load_config(path))
+
+
+def test_bad_number_is_a_config_error(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "masses.mu_C=NaN"])
+    assert rc == 1
+    assert "masses.mu_C must be a finite number" in capsys.readouterr().err
+
+
 # ── CLI commands ──────────────────────────────────────────────────────────
 
 FAST = ["--set", "sim.step=5e-5"]

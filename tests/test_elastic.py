@@ -59,6 +59,10 @@ def test_nonpositive_stretch_rejected():
             drive_force(model, 0.0)
         with pytest.raises(ValueError):
             stored_energy(model, -1.0)
+        with pytest.raises(ValueError):
+            drive_force(model, math.nan)
+        with pytest.raises(ValueError):
+            stored_energy(model, math.nan)
 
 
 def test_gaussian_force_at_double_length():

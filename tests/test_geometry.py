@@ -97,8 +97,8 @@ def test_anchor_distance_undefined_at_zero_height():
 
 
 def test_anchor_distance_at_full_extension_equals_c():
-    # p = q = 0 at pi/2 gives h = 2b; the radicand vanishes up to one ulp
-    # of cancellation in 4 b^2 - h^2, hence the 1e-8 floor.
+    # p = q = 0 at pi/2 gives h = 2b; a cos(pi/2) is not exactly 0 and the
+    # arm a cos + q is floored at 1e-12, hence the 1e-8 tolerance.
     pin = pin_geometry()
     assert anchor_distance(pin, math.pi / 2) == pytest.approx(pin.c, abs=1e-8)
 
@@ -115,16 +115,17 @@ def test_monotonicity_on_grid():
 
 def test_anchor_distance_algebraic_forms_agree():
     """The printed sixth-order radicand, its (sqrt(3)/2) sqrt(4 b^2 - h^2)
-    simplification, and the fully reduced c + sqrt(3) (a cos + q) form all
-    agree to 1e-12 relative."""
+    simplification, and the fully reduced c + sqrt(3) (a cos + q) form that
+    anchor_distance evaluates all agree to 1e-12 relative."""
     thetas = np.linspace(1e-4, math.pi / 2, 1000)
     for theta in thetas:
         theta = float(theta)
-        printed = anchor_distance(GEOM, theta)
         h = height(GEOM, theta)
         b = effective_leg(GEOM, theta)
+        h2 = h * h
+        printed = GEOM.c + math.sqrt(12.0 * b * b * h2 * h2 - 3.0 * h2 * h2 * h2) / (2.0 * h2)
         simplified = GEOM.c + 0.5 * SQRT3 * math.sqrt(4.0 * b * b - h * h)
-        reduced = GEOM.c + SQRT3 * (GEOM.a * math.cos(theta) + GEOM.q)
+        reduced = anchor_distance(GEOM, theta)
         assert printed == pytest.approx(simplified, rel=1e-12)
         assert printed == pytest.approx(reduced, rel=1e-12)
 

@@ -1,0 +1,106 @@
+"""Golden-output guard: the CLI's files must stay byte-identical.
+
+Each case runs one subcommand in-process and compares the sha256 digest of
+every file it writes against cli_golden.json.  Performance work must keep
+these digests; a deliberate change of results regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in CHANGES.md which outputs moved and why.  The digests pin the
+floating-point results of the libm and LAPACK they were made with, so the
+file also records the Python, numpy and libc versions of that platform; a
+mismatch prints them beside the current ones, to tell a platform
+difference from a regression.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sarrusjump.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+FAST = ["--set", "sim.step=5e-5"]
+LINEAR = {"elastic": {"model": "linear", "k": 36.0}}
+GAUSSIAN = {"elastic": {"model": "gaussian", "C0": 4.794e-3, "T": 296.0}}
+
+# case name -> (argv after --out, config file content or None)
+CASES = {
+    "simulate_mooney": (["simulate"] + FAST, None),
+    "simulate_linear": (["simulate"] + FAST, LINEAR),
+    "simulate_gaussian": (["simulate"] + FAST, GAUSSIAN),
+    "simulate_undamped": (["simulate", "--set", "masses.mu_C=0"] + FAST, None),
+    "sensitivity_m5": (["sensitivity", "--parameter", "m5", "--points", "11"] + FAST, None),
+    "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST, None),
+    "identify_mu": (["identify-mu", "--target-v0", "2.85"] + FAST, None),
+    "phase_portrait": (["phase-portrait"], None),
+    "phase_portrait_undamped": (["phase-portrait", "--grid-n", "5",
+                                 "--set", "masses.mu_C=0"], None),
+    "fit_mooney": (["fit", "--data", "{data}"], None),
+    "fit_gaussian": (["fit", "--data", "{data}", "--model", "gaussian"], None),
+    "mobility": (["mobility", "--lock", "0:B"], None),
+    "thrust_profile": (["thrust-profile"], None),
+    "thrust_profile_linear": (["thrust-profile", "--n-samples", "200"], LINEAR),
+}
+
+
+def _band_data(path: Path) -> Path:
+    """Force-stretch samples of the reference Mooney-Rivlin band."""
+    rows = ["lambda,force_N"]
+    for i in range(12):
+        lam = 1.1 + 0.125 * i
+        force = 7e-6 * (2 * 68.88e3 * (lam - lam**-2) + 2 * 73.61e3 * (1 - lam**-3))
+        rows.append(f"{lam!r},{force!r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def platform_info() -> dict:
+    """Versions that decide the floating-point results behind the digests."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "libc": " ".join(platform.libc_ver()), "machine": platform.machine()}
+
+
+def run_case(name: str, workdir: Path) -> dict:
+    """{file name: sha256} of everything one case writes."""
+    argv, cfg = CASES[name]
+    out = workdir / name
+    data = _band_data(workdir / "band.csv")
+    argv = [arg.replace("{data}", str(data)) for arg in argv]
+    if cfg is not None:
+        cfg_path = workdir / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(cfg_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", str(out)])
+    assert rc == 0, f"{name} exited with {rc}"
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_golden(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert run_case(name, tmp_path) == golden["cases"][name], (
+        f"digests made on {golden['platform']}, now on {platform_info()}")
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(json.loads(GOLDEN.read_text())["cases"]) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+    golden = {"platform": platform_info(), "cases": digests}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(digests)} cases)", file=sys.stderr)

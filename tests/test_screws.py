@@ -239,6 +239,14 @@ def test_rank_stable_across_tolerances():
     assert ranks == {5}
 
 
+def test_span_matrix_width_equals_rank():
+    """rank and span_matrix share one threshold, rank_rtol = 0 included."""
+    screws = list(platform_constraint_system(s1_mechanism()))
+    for rtol in (None, 0.0, 1e-12):
+        system = ScrewSystem(screws, rank_rtol=rtol)
+        assert system.span_matrix().shape[1] == system.rank()
+
+
 # ── actuation ─────────────────────────────────────────────────────────────
 
 def test_locking_one_knee_immobilises_platform():

@@ -1,6 +1,7 @@
 """Thrust force: closed forms against the generic virtual-work path,
-brute-force profile oracles for the peak and distension heights, and the
-force-inversion property of the anchor-matched band."""
+brute-force profile oracles for the peak and distension heights, the
+force-inversion property of the anchor-matched band, and bit-for-bit
+agreement of the scalar API with the integrator."""
 
 import math
 
@@ -14,6 +15,7 @@ from sarrusjump import (
     anchor_distance,
     drive_force,
     height,
+    integrate_decompression,
     peak_height,
     distension_height,
     stored_energy,
@@ -23,7 +25,16 @@ from sarrusjump import (
     thrust_profile,
 )
 
-from params import mooney_band, nominal_geometry, pin_geometry
+from sarrusjump.dynamics import _LegDynamics
+
+from params import (
+    gaussian_band,
+    mooney_band,
+    nominal_geometry,
+    nominal_masses,
+    pin_geometry,
+    sim_options,
+)
 
 GEOM = nominal_geometry()
 MR = mooney_band()
@@ -190,3 +201,30 @@ def test_profile_normalisation():
     assert prof.h_norm.max() == pytest.approx(1.0, rel=1e-15)
     assert prof.Fy_norm.max() == pytest.approx(1.0, rel=1e-15)
     assert np.all(prof.F_y >= 0.0)
+
+
+# ── one kernel for the scalar API and the integrator ─────────────────────
+
+def test_scalar_api_and_integrator_agree_exactly():
+    """stretch and thrust_force return the integrator's lambda and F_y to
+    the bit, for every band law and both derivative conventions."""
+    laws = (MR, gaussian_band(), LinearSpring(k=36.0, l0=GEOM.l0))
+    thetas = [float(t) for t in np.linspace(1e-4, math.pi / 2, 400)]
+    for model in laws:
+        for exact in (False, True):
+            dm = _LegDynamics(GEOM, model, nominal_masses(), exact)
+            for theta in thetas:
+                row = dm.observe(0.0, theta, 0.0)
+                assert stretch(GEOM, theta) == dm.stretch_at(theta) == row[6]
+                assert drive_force(model, row[6]) == row[7]
+                assert thrust_force(GEOM, model, theta, exact=exact) == row[8]
+
+
+def test_profile_and_trajectory_agree_exactly():
+    """The thrust-profile path and a recorded simulation give the same
+    lambda and F_y at the same leg angle."""
+    traj = integrate_decompression(GEOM, MR, nominal_masses(), sim_options(step=1e-4))
+    for theta, lam, f_y in zip(traj.theta[::25], traj.lam[::25], traj.F_y[::25]):
+        theta = float(theta)
+        assert stretch(GEOM, theta) == lam
+        assert thrust_force(GEOM, MR, theta) == f_y
