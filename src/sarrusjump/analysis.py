@@ -158,7 +158,8 @@ def find_equilibria(
 
 def _classify(dm: _LegDynamics, theta_star: float, eps: float = 1e-6) -> Equilibrium:
     """Classify via the linearised 2-state system at (theta*, 0)."""
-    dfdth = (dm.accel(theta_star + eps, 0.0) - dm.accel(theta_star - eps, 0.0)) / (2 * eps)
+    dfdth = (dm.derivatives(theta_star + eps, 0.0)[1]
+             - dm.derivatives(theta_star - eps, 0.0)[1]) / (2 * eps)
     # Jacobian [[0, 1], [dfdth, 0]]: eigenvalues +/- sqrt(dfdth).
     if dfdth > 1e-9:
         lam = math.sqrt(dfdth)

@@ -100,7 +100,12 @@ def load_config(path=None) -> dict:
 
 
 def apply_overrides(cfg: dict, assignments: Sequence[str]) -> dict:
-    """Apply repeated --set key.path=value assignments (JSON-parsed values)."""
+    """Apply repeated --set key.path=value assignments (JSON-parsed values).
+
+    Only existing keys can be set, except band-law coefficients under
+    elastic; setting elastic.model to a known law drops the coefficients it
+    does not declare, so the law and its coefficients may come in any order.
+    """
     for assignment in assignments:
         if "=" not in assignment:
             raise ValueError(f"override {assignment!r} is not of the form key=value")
@@ -115,9 +120,14 @@ def apply_overrides(cfg: dict, assignments: Sequence[str]) -> dict:
             if not isinstance(node, dict) or key not in node:
                 raise ValueError(f"unknown config path {path!r}")
             node = node[key]
-        if not isinstance(node, dict) or keys[-1] not in node:
+        in_elastic = keys[:-1] == ["elastic"]
+        if not isinstance(node, dict) or not (keys[-1] in node or in_elastic):
             raise ValueError(f"unknown config path {path!r}")
         node[keys[-1]] = value
+        if keys == ["elastic", "model"] and isinstance(value, str) and value in _LAWS:
+            declared = {f.name for f in fields(_LAWS[value])} | {"model"}
+            for key in set(node) - declared:
+                del node[key]
     return cfg
 
 

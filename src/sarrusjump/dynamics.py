@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .elastic import ElasticModel, stored_energy
-from .geometry import ARM_FLOOR, SQRT3, LinkageGeometry, stretch
+from .geometry import LinkageGeometry, stretch
 from .thrust import leg_forces
 
 TAKE_OFF = "TakeOff"
@@ -207,7 +207,12 @@ class JumpSummary:
 
 
 class _LegDynamics:
-    """Bound-parameter evaluator for the decompression equation of motion."""
+    """Bound-parameter evaluator for the decompression equation of motion.
+
+    derivatives() is the one evaluation of the model at a state: the RK4
+    stages, the event tests (reaction) and the trajectory rows (observe)
+    all read its tuple, so no state is passed through the kernel twice.
+    """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
                  "I4", "half_I", "geom", "force", "energy", "exact")
@@ -230,8 +235,10 @@ class _LegDynamics:
         self.exact = exact
 
     def derivatives(self, theta, theta_dot):
-        """(theta_dot, theta_ddot, friction power, thrust power)."""
-        s, co, _, _, _, f_y = leg_forces(self.geom, self.force, theta, self.exact)
+        """(theta_dot, theta_ddot, friction power, thrust power, sin, cos,
+        h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then the
+        kernel values behind it, passed through without extra arithmetic."""
+        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.force, theta, self.exact)
         sin2 = 2.0 * s * co
         cos2 = co * co - s * s
         denom = self.a2 * (4.0 * self.M1 * cos2 + self.M2) + self.I4
@@ -243,24 +250,14 @@ class _LegDynamics:
         )
         tdd = num / denom
         h_dot = 2.0 * self.a * co * theta_dot
-        return theta_dot, tdd, self.mu_C * abs(theta_dot), f_y * h_dot
+        return (theta_dot, tdd, self.mu_C * abs(theta_dot), f_y * h_dot,
+                s, co, h, lam, f_l, f_y, h_dot)
 
-    def accel(self, theta, theta_dot):
-        return self.derivatives(theta, theta_dot)[1]
-
-    def h_ddot(self, theta, theta_dot):
-        tdd = self.accel(theta, theta_dot)
-        return (2.0 * self.a * math.cos(theta) * tdd
-                - 2.0 * self.a * math.sin(theta) * theta_dot * theta_dot)
-
-    def normal_force(self, theta, theta_dot):
-        hdd = self.h_ddot(theta, theta_dot)
-        return (self.m_T - self.m1) * hdd + self.m_T * self.g
-
-    def stretch_at(self, theta):
-        """lambda alone, as leg_forces computes it, for the event checks."""
-        geom = self.geom
-        return (geom.c + SQRT3 * max(geom.a * math.cos(theta) + geom.q, ARM_FLOOR)) / geom.l0
+    def reaction(self, d):
+        """(h_ddot, F_N) from one derivatives() tuple."""
+        theta_dot, tdd, _, _, s, co = d[:6]
+        h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
+        return h_dd, (self.m_T - self.m1) * h_dd + self.m_T * self.g
 
     def kinetic(self, theta, theta_dot):
         cos2 = math.cos(2.0 * theta)
@@ -277,21 +274,19 @@ class _LegDynamics:
         _, co, _, _, _, f_y = leg_forces(self.geom, self.force, theta, self.exact)
         return 2.0 * self.a * co * abs(self.g * self.M3 / 4.0 - f_y) - self.mu_C
 
-    def observe(self, t, theta, theta_dot):
-        """One trajectory row (13 columns)."""
-        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.force, theta, self.exact)
-        _, tdd, _, _ = self.derivatives(theta, theta_dot)
-        h_dot = 2.0 * self.a * co * theta_dot
-        h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
-        f_n = (self.m_T - self.m1) * h_dd + self.m_T * self.g
+    def observe(self, t, theta, theta_dot, d):
+        """One trajectory row (13 columns) from the derivatives() tuple d at
+        (theta, theta_dot)."""
+        _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
+        h_dd, f_n = self.reaction(d)
         return (t, theta, theta_dot, h, h_dot, h_dd, lam, f_l, f_y, f_n,
                 self.kinetic(theta, theta_dot), self.potential(theta),
                 self.energy(lam))
 
 
-def _rk4(dm: _LegDynamics, y, dt):
+def _rk4(dm: _LegDynamics, y, k1, dt):
+    """One classical RK4 step of size dt from y; k1 = dm.derivatives at y."""
     th, om, wf, wi = y
-    k1 = dm.derivatives(th, om)
     k2 = dm.derivatives(th + 0.5 * dt * k1[0], om + 0.5 * dt * k1[1])
     k3 = dm.derivatives(th + 0.5 * dt * k2[0], om + 0.5 * dt * k2[1])
     k4 = dm.derivatives(th + dt * k3[0], om + dt * k3[1])
@@ -304,26 +299,27 @@ def _rk4(dm: _LegDynamics, y, dt):
     )
 
 
-def _bisect_event(dm, y, dt, crossing, tol_t, max_iter=90):
-    """First sub-step tau in (0, dt] where crossing(state) flips negative.
+def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t, max_iter=90):
+    """First sub-step tau in (0, dt] where crossing(evaluation) flips negative.
 
-    crossing(y) must be > 0 at tau = 0 and <= 0 at tau = dt.  Returns
-    (tau, state at tau) with the state on the event side of the crossing.
+    y_hi and d_hi are the state after the full step dt from y and its
+    derivatives() tuple; k1 is the one at y.  crossing(d) must be > 0 at
+    tau = 0 and <= 0 at tau = dt.  Returns (tau, state, evaluation) on the
+    event side of the crossing.
     """
     lo = 0.0
     hi = dt
-    y_hi = _rk4(dm, y, dt)
     for _ in range(max_iter):
         if hi - lo <= tol_t:
             break
         mid = 0.5 * (lo + hi)
-        y_mid = _rk4(dm, y, mid)
-        if crossing(y_mid) > 0.0:
+        y_mid = _rk4(dm, y, k1, mid)
+        d_mid = dm.derivatives(y_mid[0], y_mid[1])
+        if crossing(d_mid) > 0.0:
             lo = mid
         else:
-            hi = mid
-            y_hi = y_mid
-    return hi, y_hi
+            hi, y_hi, d_hi = mid, y_mid, d_mid
+    return hi, y_hi, d_hi
 
 
 def theta_ddot(geom: LinkageGeometry, model: ElasticModel, masses: MassModel,
@@ -331,7 +327,8 @@ def theta_ddot(geom: LinkageGeometry, model: ElasticModel, masses: MassModel,
     """Angular acceleration of the leg at the given state."""
     if not (0.0 < theta <= math.pi / 2):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    return _LegDynamics(geom, model, masses, exact_derivative).accel(theta, theta_dot)
+    dm = _LegDynamics(geom, model, masses, exact_derivative)
+    return dm.derivatives(theta, theta_dot)[1]
 
 
 def ground_reaction(masses: MassModel, h_ddot: float) -> float:
@@ -400,7 +397,10 @@ def integrate_decompression(
     dt_nom = options.step
     tol_t = options.event_tolerance
 
-    rows = [dm.observe(0.0, th0, 0.0)]
+    # d is the one derivatives() evaluation at the current state y: it is
+    # the next step's k1 and feeds the event tests and the row.
+    d = dm.derivatives(th0, 0.0)
+    rows = [dm.observe(0.0, th0, 0.0, d)]
     termination = HORIZON_EXCEEDED
     detail = "time horizon exceeded before take-off"
     t_off = None
@@ -414,68 +414,61 @@ def integrate_decompression(
 
     t = 0.0
     y = (th0, 0.0, 0.0, 0.0)  # theta, theta_dot, friction work, thrust work
-    fn_prev = dm.normal_force(th0, 0.0)
-    lam_prev = dm.stretch_at(th0)
+    fn_prev = rows[0][9]
 
     while t < options.t_max - 1e-15:
         dt = min(dt_nom, options.t_max - t)
-        y_new = _rk4(dm, y, dt)
-        fn_new = dm.normal_force(y_new[0], y_new[1])
-        lam_new = dm.stretch_at(y_new[0])
+        y_new = _rk4(dm, y, d, dt)
+        d_new = dm.derivatives(y_new[0], y_new[1])
+        fn_new = dm.reaction(d_new)[1]
 
-        tau_off = None
+        off = slack = None  # (tau, state, evaluation) of each event in this step
         if fn_prev > 0.0 >= fn_new:
-            tau_off, y_off = _bisect_event(
-                dm, y, dt, lambda s: dm.normal_force(s[0], s[1]), tol_t)
-        tau_slack = None
-        if (lam_prev - 1.0) * (lam_new - 1.0) < 0.0:
-            sign = 1.0 if lam_prev > 1.0 else -1.0
-            tau_slack, y_slack = _bisect_event(
-                dm, y, dt, lambda s: sign * (dm.stretch_at(s[0]) - 1.0), tol_t)
+            off = _bisect_event(
+                dm, y, d, dt, y_new, d_new, lambda e: dm.reaction(e)[1], tol_t)
+        if (d[7] - 1.0) * (d_new[7] - 1.0) < 0.0:  # lambda crosses 1
+            sign = 1.0 if d[7] > 1.0 else -1.0
+            slack = _bisect_event(
+                dm, y, d, dt, y_new, d_new, lambda e: sign * (e[7] - 1.0), tol_t)
 
-        if tau_off is not None and (tau_slack is None or tau_off <= tau_slack):
-            t += tau_off
-            y = y_off
-            rows.append(dm.observe(t, y[0], y[1]))
+        if off is not None and (slack is None or off[0] <= slack[0]):
+            tau, y, d = off
+            t += tau
             termination = TAKE_OFF
             detail = "ground reaction force reached zero"
             t_off = t
             break
-        if tau_slack is not None:
+        if slack is not None:
             # Split the step at the stiffness kink; continue integrating.
-            t += tau_slack
-            y = y_slack
+            tau, y, d = slack
+            t += tau
             if record:
-                rows.append(dm.observe(t, y[0], y[1]))
-            fn_prev = dm.normal_force(y[0], y[1])
-            lam_prev = dm.stretch_at(y[0])
+                rows.append(dm.observe(t, y[0], y[1], d))
+            fn_prev = dm.reaction(d)[1]
             continue
 
         t += dt
         y = y_new
+        d = d_new
         fn_prev = fn_new
-        lam_prev = lam_new
 
         if y[0] <= 0.0:
-            rows.append(dm.observe(t, y[0], y[1]))
             termination = KNEE_INVERSION
             detail = "leg angle reached zero: knee inverted"
             break
         if y[0] >= math.pi / 2:
-            rows.append(dm.observe(t, y[0], y[1]))
             termination = HORIZON_EXCEEDED
             detail = "leg reached the pi/2 hard stop before take-off"
             break
         if y[1] < 0.0 and dm.static_margin(y[0]) <= 0.0:
-            rows.append(dm.observe(t, y[0], y[1]))
             termination = STICTION
             detail = "decompression reversed and re-stuck below the Coulomb threshold"
             break
         if record:
-            rows.append(dm.observe(t, y[0], y[1]))
+            rows.append(dm.observe(t, y[0], y[1], d))
 
-    if rows[-1][0] < t:  # terminal row for sparse mode and horizon exits
-        rows.append(dm.observe(t, y[0], y[1]))
+    if rows[-1][0] < t:  # the terminal row of every exit after the start
+        rows.append(dm.observe(t, y[0], y[1], d))
 
     return _build_trajectory(rows, termination, detail, t_off, y[2], y[3])
 
@@ -572,7 +565,7 @@ def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
     y = (theta0, theta_dot0, 0.0, 0.0)
     exited = False
     for i in range(1, n + 1):
-        y = _rk4(dm, y, dt)
+        y = _rk4(dm, y, dm.derivatives(y[0], y[1]), dt)
         ts.append(i * dt)
         thetas.append(y[0])
         omegas.append(y[1])

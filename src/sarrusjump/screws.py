@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,9 +88,8 @@ def reciprocal_product(s1: Screw, s2: Screw) -> float:
 class ScrewSystem:
     """Ordered screw collection with numeric rank and reciprocal operations."""
 
-    def __init__(self, screws: Iterable[Screw], rank_rtol: Optional[float] = None):
+    def __init__(self, screws: Iterable[Screw]):
         self.screws = tuple(screws)
-        self.rank_rtol = rank_rtol
 
     def __len__(self):
         return len(self.screws)
@@ -107,22 +106,12 @@ class ScrewSystem:
             return np.zeros((0, 6))
         return np.vstack([s.as_array() for s in self.screws])
 
-    def _svd_rank(self, sigma: np.ndarray, shape: tuple) -> int:
-        """Count of sigma > rtol * sigma_max, with rtol = rank_rtol, or
-        max(shape) * eps when rank_rtol is None."""
-        if sigma.size == 0 or sigma[0] == 0.0:
-            return 0
-        rtol = self.rank_rtol
-        if rtol is None:
-            rtol = max(shape) * np.finfo(float).eps
-        return int(np.sum(sigma > rtol * sigma[0]))
-
     def rank(self) -> int:
         """Numeric rank by singular values."""
         m = self.matrix()
         if m.size == 0:
             return 0
-        return self._svd_rank(np.linalg.svd(m, compute_uv=False), m.shape)
+        return _svd_rank(np.linalg.svd(m, compute_uv=False), m.shape)
 
     def reciprocal(self) -> "ScrewSystem":
         """All screws reciprocal to every screw here.
@@ -132,13 +121,11 @@ class ScrewSystem:
         """
         m = self.matrix()
         if m.size == 0:
-            return ScrewSystem([Screw.from_array(row) for row in np.eye(6)],
-                               self.rank_rtol)
+            return ScrewSystem([Screw.from_array(row) for row in np.eye(6)])
         a = m @ _PAIRING
         _, sigma, vh = np.linalg.svd(a)
-        rank = self._svd_rank(sigma, a.shape)
-        return ScrewSystem([Screw.from_array(row) for row in vh[rank:]],
-                           self.rank_rtol)
+        rank = _svd_rank(sigma, a.shape)
+        return ScrewSystem([Screw.from_array(row) for row in vh[rank:]])
 
     def span_matrix(self) -> np.ndarray:
         """Orthonormal basis (columns) of the screws' span."""
@@ -146,7 +133,15 @@ class ScrewSystem:
         if m.size == 0:
             return np.zeros((6, 0))
         _, sigma, vh = np.linalg.svd(m)
-        return vh[:self._svd_rank(sigma, m.shape)].T
+        return vh[:_svd_rank(sigma, m.shape)].T
+
+
+def _svd_rank(sigma: np.ndarray, shape: tuple) -> int:
+    """Count of sigma > max(shape) * eps * sigma_max, the numeric rank that
+    rank, reciprocal and span_matrix share."""
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > max(shape) * np.finfo(float).eps * sigma[0]))
 
 
 def subspace_angle(system_a: ScrewSystem, system_b: ScrewSystem) -> float:

@@ -5,8 +5,8 @@ separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
 
 leg_forces evaluates theta -> (h, lambda, F_l, F_y) for the scalar API and the
-integrator; anchor_distance and stretch_at repeat its stretch line for speed,
-and an exact-equality test keeps the three copies in step.
+integrator; anchor_distance repeats its stretch line for speed, and an
+exact-equality test keeps the two copies in step.
 """
 
 from __future__ import annotations

@@ -48,6 +48,21 @@ def test_config_unknown_override_rejected():
         apply_overrides(default_config(), ["masses.mu_C"])
 
 
+def test_config_override_switches_band_law():
+    cfg = apply_overrides(default_config(), ["elastic.model=gaussian",
+                                             "elastic.C0=4.794e-3", "elastic.T=296"])
+    assert cfg["elastic"] == {"model": "gaussian", "C0": 4.794e-3, "T": 296}
+    assert isinstance(build_config(cfg).elastic, GaussianBand)
+    with pytest.raises(ValueError, match="missing elastic keys for linear"):
+        build_config(apply_overrides(default_config(), ["elastic.model=linear"]))
+
+
+def test_config_unknown_elastic_key_exit_code(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "elastic.kk=1"])
+    assert rc == 1
+    assert "unknown elastic keys for mooney_rivlin: ['kk']" in capsys.readouterr().err
+
+
 def test_config_file_merge_and_strictness(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"masses": {"mu_C": 0.002}}))

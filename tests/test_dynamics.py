@@ -21,7 +21,10 @@ from sarrusjump import (
     MassModel,
     SimOptions,
     ballistic,
+    build_config,
     com_velocity,
+    default_config,
+    dynamics,
     efficiency,
     ground_reaction,
     integrate_decompression,
@@ -355,3 +358,27 @@ def test_take_off_velocity_monotone_in_damping():
         assert summary.termination == TAKE_OFF
         v0s.append(summary.v0_mps)
     assert all(a >= b - 1e-12 for a, b in zip(v0s, v0s[1:]))
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
+    """The reference run evaluates the kernel 4 times per RK4 step and per
+    bisection iteration (stages 2-4 plus the end-of-step evaluation, which
+    is also the next k1, the event tests and the row), plus the start state
+    and its rest check, whether or not every step is recorded."""
+    calls = {"leg_forces": 0, "rk4": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "leg_forces", counted("leg_forces", dynamics.leg_forces))
+    monkeypatch.setattr(dynamics, "_rk4", counted("rk4", dynamics._rk4))
+    run = build_config(default_config())
+    _, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
+                               record=record)
+    assert summary.termination == TAKE_OFF
+    assert calls == {"leg_forces": 54146, "rk4": 13536}
+    assert calls["leg_forces"] == 4 * calls["rk4"] + 2

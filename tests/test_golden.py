@@ -33,23 +33,34 @@ FAST = ["--set", "sim.step=5e-5"]
 LINEAR = {"elastic": {"model": "linear", "k": 36.0}}
 GAUSSIAN = {"elastic": {"model": "gaussian", "C0": 4.794e-3, "T": 296.0}}
 
-# case name -> (argv after --out, config file content or None)
+# case name -> (argv after --out, config file content or None, exit code)
 CASES = {
-    "simulate_mooney": (["simulate"] + FAST, None),
-    "simulate_linear": (["simulate"] + FAST, LINEAR),
-    "simulate_gaussian": (["simulate"] + FAST, GAUSSIAN),
-    "simulate_undamped": (["simulate", "--set", "masses.mu_C=0"] + FAST, None),
-    "sensitivity_m5": (["sensitivity", "--parameter", "m5", "--points", "11"] + FAST, None),
-    "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST, None),
-    "identify_mu": (["identify-mu", "--target-v0", "2.85"] + FAST, None),
-    "phase_portrait": (["phase-portrait"], None),
+    "simulate_mooney": (["simulate"] + FAST, None, 0),
+    "simulate_linear": (["simulate"] + FAST, LINEAR, 0),
+    "simulate_gaussian": (["simulate"] + FAST, GAUSSIAN, 0),
+    "simulate_undamped": (["simulate", "--set", "masses.mu_C=0"] + FAST, None, 0),
+    # One case per integrator exit other than take-off (exit code 2).  The
+    # heavy foot keeps the leg on the ground until the band goes slack, so
+    # only this case reaches the slack bisection before the pi/2 stop.
+    "simulate_slack_hard_stop": (["simulate", "--set", "masses.m1=50",
+                                  "--set", "masses.mu_C=0"] + FAST, None, 2),
+    "simulate_knee_inversion": (["simulate", "--exact-derivative",
+                                 "--set", "masses.mu_C=0"] + FAST, None, 2),
+    "simulate_horizon": (["simulate", "--set", "sim.t_max=0.05"] + FAST, None, 2),
+    "simulate_stiction": (["simulate", "--set", "masses.mu_C=1"] + FAST, None, 2),
+    "sensitivity_m5": (["sensitivity", "--parameter", "m5", "--points", "11"] + FAST,
+                       None, 0),
+    "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST,
+                      None, 0),
+    "identify_mu": (["identify-mu", "--target-v0", "2.85"] + FAST, None, 0),
+    "phase_portrait": (["phase-portrait"], None, 0),
     "phase_portrait_undamped": (["phase-portrait", "--grid-n", "5",
-                                 "--set", "masses.mu_C=0"], None),
-    "fit_mooney": (["fit", "--data", "{data}"], None),
-    "fit_gaussian": (["fit", "--data", "{data}", "--model", "gaussian"], None),
-    "mobility": (["mobility", "--lock", "0:B"], None),
-    "thrust_profile": (["thrust-profile"], None),
-    "thrust_profile_linear": (["thrust-profile", "--n-samples", "200"], LINEAR),
+                                 "--set", "masses.mu_C=0"], None, 0),
+    "fit_mooney": (["fit", "--data", "{data}"], None, 0),
+    "fit_gaussian": (["fit", "--data", "{data}", "--model", "gaussian"], None, 0),
+    "mobility": (["mobility", "--lock", "0:B"], None, 0),
+    "thrust_profile": (["thrust-profile"], None, 0),
+    "thrust_profile_linear": (["thrust-profile", "--n-samples", "200"], LINEAR, 0),
 }
 
 
@@ -72,7 +83,7 @@ def platform_info() -> dict:
 
 def run_case(name: str, workdir: Path) -> dict:
     """{file name: sha256} of everything one case writes."""
-    argv, cfg = CASES[name]
+    argv, cfg, expected_rc = CASES[name]
     out = workdir / name
     data = _band_data(workdir / "band.csv")
     argv = [arg.replace("{data}", str(data)) for arg in argv]
@@ -80,9 +91,13 @@ def run_case(name: str, workdir: Path) -> dict:
         cfg_path = workdir / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         argv = argv + ["--config", str(cfg_path)]
+    return _digests(argv, out, expected_rc)
+
+
+def _digests(argv: list, out: Path, expected_rc: int) -> dict:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv + ["--out", str(out)])
-    assert rc == 0, f"{name} exited with {rc}"
+    assert rc == expected_rc, f"{argv} exited with {rc}, expected {expected_rc}"
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
 
@@ -92,6 +107,18 @@ def test_cli_outputs_match_golden(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert run_case(name, tmp_path) == golden["cases"][name], (
         f"digests made on {golden['platform']}, now on {platform_info()}")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--set", "elastic.model=linear", "--set", "elastic.k=36"],
+    ["--set", "elastic.k=36", "--set", "elastic.model=linear"],
+])
+def test_set_switches_band_law(flags, tmp_path):
+    """--set alone switches the band law, in either order of the model and
+    its coefficient, and gives the outputs of the config-file route."""
+    golden = json.loads(GOLDEN.read_text())
+    digests = _digests(["simulate"] + flags + FAST, tmp_path / "out", 0)
+    assert digests == golden["cases"]["simulate_linear"]
 
 
 def test_golden_file_covers_every_case():

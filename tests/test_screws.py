@@ -18,7 +18,6 @@ import pytest
 from sarrusjump import (
     SarrusMechanism,
     Screw,
-    ScrewSystem,
     actuation_analysis,
     build_sarrus,
     chain_constraint_screws,
@@ -231,20 +230,16 @@ def test_mobility_invariant_under_random_azimuths():
         assert abs(abs(float(motion.s0 @ mech.e_C)) - 1.0) < 1e-9
 
 
-def test_rank_stable_across_tolerances():
-    mech = s1_mechanism()
-    screws = list(platform_constraint_system(mech))
-    ranks = {ScrewSystem(screws, rank_rtol=r).rank()
-             for r in (1e-12, 1e-10, 1e-8)}
-    assert ranks == {5}
-
-
 def test_span_matrix_width_equals_rank():
-    """rank and span_matrix share one threshold, rank_rtol = 0 included."""
-    screws = list(platform_constraint_system(s1_mechanism()))
-    for rtol in (None, 0.0, 1e-12):
-        system = ScrewSystem(screws, rank_rtol=rtol)
-        assert system.span_matrix().shape[1] == system.rank()
+    """rank and span_matrix share one threshold."""
+    system = platform_constraint_system(s1_mechanism())
+    assert system.span_matrix().shape[1] == system.rank()
+
+
+def test_rank_and_reciprocal_rank_sum_to_six():
+    """rank(system) + rank(reciprocal) = 6 on the platform constraint union."""
+    system = platform_constraint_system(s1_mechanism())
+    assert system.rank() + len(system.reciprocal()) == 6
 
 
 # ── actuation ─────────────────────────────────────────────────────────────

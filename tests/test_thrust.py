@@ -214,8 +214,8 @@ def test_scalar_api_and_integrator_agree_exactly():
         for exact in (False, True):
             dm = _LegDynamics(GEOM, model, nominal_masses(), exact)
             for theta in thetas:
-                row = dm.observe(0.0, theta, 0.0)
-                assert stretch(GEOM, theta) == dm.stretch_at(theta) == row[6]
+                row = dm.observe(0.0, theta, 0.0, dm.derivatives(theta, 0.0))
+                assert stretch(GEOM, theta) == row[6]
                 assert drive_force(model, row[6]) == row[7]
                 assert thrust_force(GEOM, model, theta, exact=exact) == row[8]
 
