@@ -19,7 +19,7 @@ from .dynamics import (
     simulate_jump,
 )
 from .elastic import ElasticModel
-from .geometry import LegAngleInterval, LinkageGeometry
+from .geometry import LegAngleInterval, LinkageGeometry, finite
 from .thrust import leg_forces
 
 SADDLE = "Saddle"
@@ -204,6 +204,8 @@ def phase_portrait(
     damped releases are integrated forward only.  Failures are recorded
     per trajectory, not raised.
     """
+    t_span = finite("t_span", t_span, "positive")
+    step = finite("step", step, "positive")
     dm = _LegDynamics(geom, model, masses, exact_derivative)
     undamped = masses.mu_C == 0.0
     out = []
@@ -358,7 +360,7 @@ def identify_mu(
     """
 
     def v0_at(mu):
-        run_masses = replace(masses, mu_C=float(mu))
+        run_masses = replace(masses, mu_C=mu)
         _, summ = simulate_jump(geom, model, run_masses, options,
                                 exact_derivative=exact_derivative, record=False)
         if summ.termination != TAKE_OFF:

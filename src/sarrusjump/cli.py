@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -206,10 +207,9 @@ def cmd_identify_mu(args) -> int:
     out = _outdir(args)
     mu = analysis.identify_mu(run.geometry, run.elastic, run.masses,
                               args.target_v0, run.sim)
-    check_masses = config.build_config(config.apply_overrides(
-        run.raw, [f"masses.mu_C={mu!r}"]))
-    _, summary = simulate_jump(check_masses.geometry, check_masses.elastic,
-                               check_masses.masses, check_masses.sim, record=False)
+    check_masses = replace(run.masses, mu_C=mu)
+    _, summary = simulate_jump(run.geometry, run.elastic, check_masses, run.sim,
+                               record=False)
     path = out / "identified_mu.json"
     write_json(path, {"mu_C": mu, "target_v0_mps": args.target_v0,
                       "achieved_v0_mps": summary.v0_mps})

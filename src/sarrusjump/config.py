@@ -9,10 +9,8 @@ Coulomb coefficient.  Set masses.mu_C to 0 for the undamped ideal.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -145,9 +143,9 @@ def build_config(cfg: dict) -> RunConfig:
         if section not in cfg:
             raise ValueError(f"missing config section {section!r}")
 
-    geometry = LinkageGeometry(**_numbers(cfg, "geometry"))
-    masses = MassModel(**_numbers(cfg, "masses"))
-    sim = SimOptions(**_numbers(cfg, "sim"))
+    geometry = _build("geometry", LinkageGeometry, cfg["geometry"])
+    masses = _build("masses", MassModel, cfg["masses"])
+    sim = _build("sim", SimOptions, cfg["sim"])
 
     elastic_cfg = cfg["elastic"]
     kind = elastic_cfg.get("model")
@@ -165,24 +163,17 @@ def build_config(cfg: dict) -> RunConfig:
     missing = keys - set(elastic_cfg)
     if missing:
         raise ValueError(f"missing elastic keys for {kind}: {sorted(missing)}")
-    elastic = law(**shared, **{key: _number(f"elastic.{key}", elastic_cfg[key])
-                               for key in sorted(keys)})
+    elastic = _build("elastic", law,
+                     {**shared, **{key: elastic_cfg[key] for key in keys}})
 
     return RunConfig(geometry=geometry, masses=masses, elastic=elastic,
                      sim=sim, raw=copy.deepcopy(cfg))
 
 
-def _number(key: str, value) -> float:
-    """value as a finite float; booleans and non-numbers are rejected."""
-    number = math.nan
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError):
-            number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _numbers(cfg: dict, section: str) -> dict:
-    return {key: _number(f"{section}.{key}", value)
-            for key, value in cfg[section].items()}
+def _build(section: str, cls, values: dict):
+    """cls(**values); a field's error is prefixed with its section, so it
+    names the dotted config key."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{exc}") from None

@@ -14,8 +14,8 @@ the governing equation is
            - 4 mu_C sgn(td)] / [a^2 (4 M1 cos(2 th) + M2) + 4 (I1 + I2)]
 
 where F_y is the vertical thrust of the band drive.  The foot mass m1 stays
-on the ground throughout decompression; take-off is the first zero of the
-ground reaction force
+on the ground throughout decompression; take-off is the first zero, with
+the head rising (hd > 0), of the ground reaction force
 
     F_N = (m_T - m1) hdd + (m_T - m1) g + m1 g.
 
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .elastic import ElasticModel, stored_energy
-from .geometry import LinkageGeometry, stretch
+from .geometry import LinkageGeometry, finite_fields, stretch
 from .thrust import leg_forces
 
 TAKE_OFF = "TakeOff"
@@ -71,15 +71,10 @@ class MassModel:
     mu_C: float = 0.0   # Coulomb damping coefficient [N m]
 
     def __post_init__(self):
-        for name in ("m1", "m2", "m3", "m4", "m5", "I1", "I2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        finite_fields(self, non_negative=("m1", "m2", "m3", "m4", "m5",
+                                          "I1", "I2", "g", "mu_C"))
         if self.m_T <= 0.0:
-            raise ValueError("total mass must be positive")
-        if self.g < 0.0:
-            raise ValueError(f"gravity must be non-negative, got {self.g}")
-        if self.mu_C < 0.0:
-            raise ValueError(f"mu_C must be non-negative, got {self.mu_C}")
+            raise ValueError(f"m_T (total mass) must be positive, got {self.m_T!r}")
 
     @property
     def m_T(self) -> float:
@@ -106,12 +101,9 @@ class SimOptions:
     theta0: float = 0.066          # initial leg angle [rad]
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        finite_fields(self, positive=("step", "event_tolerance"))
         if self.t_max <= self.step:
             raise ValueError("t_max must exceed the time step")
-        if self.event_tolerance <= 0.0:
-            raise ValueError("event_tolerance must be positive")
         if not (0.0 < self.theta0 < math.pi / 2):
             raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
 
@@ -384,11 +376,11 @@ def integrate_decompression(
     """Integrate the decompression phase from rest at theta0 to the first
     terminal event.
 
-    Events, checked each step: take-off (ground reaction crosses zero,
-    bisection-refined), knee inversion (theta <= 0), the pi/2 hard stop,
-    the time horizon, and re-sticking after a velocity reversal.  Band
-    slack/taut transitions are bisection-refined and the step is split
-    there to preserve the integrator order.
+    Events, checked each step: take-off (ground reaction crosses zero with
+    the head rising, bisection-refined), knee inversion (theta <= 0), the
+    pi/2 hard stop, the time horizon, and re-sticking after a velocity
+    reversal.  Band slack/taut transitions are bisection-refined and the
+    step is split there to preserve the integrator order.
 
     With record=False only the initial and terminal rows are kept.
     """
@@ -426,6 +418,8 @@ def integrate_decompression(
         if fn_prev > 0.0 >= fn_new:
             off = _bisect_event(
                 dm, y, d, dt, y_new, d_new, lambda e: dm.reaction(e)[1], tol_t)
+            if off[2][10] <= 0.0:  # F_N = 0 with the head falling: no take-off
+                off = None
         if (d[7] - 1.0) * (d_new[7] - 1.0) < 0.0:  # lambda crosses 1
             sign = 1.0 if d[7] > 1.0 else -1.0
             slack = _bisect_event(

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .geometry import finite, finite_fields
+
 FORCE_STRETCH_HEADER = ("lambda", "force_N")
 
 
@@ -26,8 +28,7 @@ class LinearSpring:
     l0: float  # rest length [m]
 
     def __post_init__(self):
-        _require_nonneg(k=self.k)
-        _require_pos(l0=self.l0)
+        finite_fields(self, positive=("l0",), non_negative=("k",))
 
     def force(self, lam):
         return self.k * self.l0 * (lam - 1.0) if lam > 1.0 else 0.0
@@ -52,8 +53,7 @@ class GaussianBand:
     A0: float  # cross-sectional area [m^2]
 
     def __post_init__(self):
-        _require_nonneg(C0=self.C0, T=self.T)
-        _require_pos(l0=self.l0, A0=self.A0)
+        finite_fields(self, positive=("l0", "A0"), non_negative=("C0", "T"))
 
     def force(self, lam):
         return self.C0 * self.T * (lam - 1.0 / (lam * lam)) if lam > 1.0 else 0.0
@@ -73,8 +73,7 @@ class MooneyRivlinBand:
     A0: float  # cross-sectional area [m^2]
 
     def __post_init__(self):
-        _require_nonneg(C1=self.C1, C2=self.C2)
-        _require_pos(l0=self.l0, A0=self.A0)
+        finite_fields(self, positive=("l0", "A0"), non_negative=("C1", "C2"))
 
     def force(self, lam):
         if lam <= 1.0:
@@ -92,18 +91,6 @@ class MooneyRivlinBand:
 ElasticModel = Union[LinearSpring, GaussianBand, MooneyRivlinBand]
 
 
-def _require_pos(**fields):
-    for name, value in fields.items():
-        if not value > 0.0:  # NaN fails too
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _require_nonneg(**fields):
-    for name, value in fields.items():
-        if value < 0.0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 @dataclass(frozen=True)
 class ForceStretchSample:
     """One measured point of the band's force-stretch curve."""
@@ -112,16 +99,14 @@ class ForceStretchSample:
     force: float    # [N], >= 0
 
     def __post_init__(self):
+        finite_fields(self, non_negative=("force",))
         if self.stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
-        if self.force < 0.0:
-            raise ValueError(f"force must be >= 0, got {self.force}")
+            raise ValueError(f"stretch must be >= 1, got {self.stretch!r}")
 
 
 def drive_force(model: ElasticModel, lam: float) -> float:
     """Band tension at stretch ratio lam; exactly 0 when slack (lam <= 1)."""
-    _require_pos(lam=lam)
-    return model.force(lam)
+    return model.force(finite("lam", lam, "positive"))
 
 
 def stored_energy(model: ElasticModel, lam: float) -> float:
@@ -129,8 +114,7 @@ def stored_energy(model: ElasticModel, lam: float) -> float:
 
     Zero for lam <= 1; continuous at lam = 1.
     """
-    _require_pos(lam=lam)
-    return model.energy(lam)
+    return model.energy(finite("lam", lam, "positive"))
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def fit_mooney(
     least-squares solve.  Requires at least 3 samples with at least two
     distinct stretch values above 1 (otherwise the design is rank deficient).
     """
-    _require_pos(A0=A0, l0=l0)
+    A0, l0 = finite("A0", A0, "positive"), finite("l0", l0, "positive")
     if len(data) < 3:
         raise ValueError(f"need at least 3 samples, got {len(data)}")
     lam = np.array([s.stretch for s in data], dtype=float)
@@ -180,7 +164,7 @@ def fit_mooney(
 
 def fit_gaussian(data: Sequence[ForceStretchSample], T: float) -> GaussianFit:
     """One-parameter least-squares fit of C0 in F = C0 T (lambda - lambda^-2)."""
-    _require_pos(T=T)
+    T = finite("T", T, "positive")
     if len(data) < 1:
         raise ValueError("need at least 1 sample")
     lam = np.array([s.stretch for s in data], dtype=float)
@@ -223,7 +207,10 @@ def load_force_stretch_csv(path) -> list[ForceStretchSample]:
                 continue
             if len(row) != 2:
                 raise ValueError(f"line {line_no}: expected 2 columns, got {len(row)}")
-            samples.append(ForceStretchSample(float(row[0]), float(row[1])))
+            try:
+                samples.append(ForceStretchSample(*row))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
     return samples
 
 

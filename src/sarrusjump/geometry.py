@@ -7,8 +7,9 @@ pi/2 at full extension.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Knee-to-knee chord factor for dyad planes spaced 120 degrees apart (band
 # aperture 60 degrees).  A different plane spacing would change this constant.
@@ -19,6 +20,30 @@ _EPS = 1e-9
 # a cos(theta) + q > 0 on [0, pi/2); the floor only keeps the anchor
 # separation positive past the hard stop (RK4 substage overshoot).
 ARM_FLOOR = 1e-12
+
+
+def finite(name: str, value, sign: str = "") -> float:
+    """value as a finite float; booleans and non-numbers are rejected, and
+    sign "positive" or "non-negative" bounds it below by zero."""
+    number = math.nan
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if sign and (number < 0.0 or (number == 0.0 and sign == "positive")):
+        raise ValueError(f"{name} must be {sign}, got {number!r}")
+    return number
+
+
+def finite_fields(obj, positive=(), non_negative=()) -> None:
+    """Store each field of the frozen dataclass obj as finite(name, value),
+    signed as the positive and non_negative name lists say."""
+    for field in fields(obj):
+        name = field.name
+        sign = ("positive" if name in positive
+                else "non-negative" if name in non_negative else "")
+        object.__setattr__(obj, name, finite(name, getattr(obj, name), sign))
 
 
 @dataclass(frozen=True)
@@ -41,15 +66,7 @@ class LinkageGeometry:
     A0: float
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"leg length a must be positive, got {self.a}")
-        if self.l0 <= 0.0:
-            raise ValueError(f"band rest length l0 must be positive, got {self.l0}")
-        if self.A0 <= 0.0:
-            raise ValueError(f"band cross-section A0 must be positive, got {self.A0}")
-        for name in ("c", "p", "q"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        finite_fields(self, positive=("a", "l0", "A0"), non_negative=("c", "p", "q"))
 
 
 @dataclass(frozen=True)
@@ -60,6 +77,7 @@ class LegAngleInterval:
     theta_max: float
 
     def __post_init__(self):
+        finite_fields(self)
         if not (0.0 <= self.theta_min < self.theta_max <= math.pi / 2 + _EPS):
             raise ValueError(
                 "need 0 <= theta_min < theta_max <= pi/2, got "

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .geometry import finite
+
 # Block-swap pairing: reciprocal_product(x, y) = x . (_PAIRING @ y).
 _PAIRING = np.zeros((6, 6))
 _PAIRING[:3, 3:] = np.eye(3)
@@ -246,8 +248,10 @@ def build_sarrus(n: int, azimuths: Sequence[float], a: float, theta: float,
         raise ValueError(f"need at least two chains, got {n}")
     if len(azimuths) != n:
         raise ValueError(f"expected {n} azimuths, got {len(azimuths)}")
-    if a <= 0.0:
-        raise ValueError(f"leg length must be positive, got {a}")
+    azimuths = [finite("azimuth", az) for az in azimuths]
+    a = finite("a", a, "positive")
+    theta = finite("theta", theta)
+    base_radius = finite("base_radius", base_radius)
     if not (0.0 < theta < math.pi / 2):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
 

@@ -11,19 +11,9 @@ import numpy as np
 
 
 def fmt(value) -> str:
-    """Canonical 12-significant-digit text for one cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.12g}"
+    """One cell: a string as is, a number as 12-significant-digit text
+    (nan, inf and -inf included)."""
+    return value if isinstance(value, str) else f"{float(value):.12g}"
 
 
 def round12(obj):

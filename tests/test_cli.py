@@ -5,14 +5,18 @@ inputs, strict config validation before any computation, and exit codes
 0 (success), 1 (usage/config error), 2 (terminal simulation condition).
 """
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sarrusjump import (
+    ForceStretchSample,
     GaussianBand,
+    LegAngleInterval,
     LinearSpring,
     MooneyRivlinBand,
     apply_overrides,
@@ -21,6 +25,8 @@ from sarrusjump import (
     load_config,
 )
 from sarrusjump.cli import main
+
+from params import gaussian_band, mooney_band, nominal_geometry, nominal_masses, sim_options
 
 
 # ── config ────────────────────────────────────────────────────────────────
@@ -112,6 +118,23 @@ def test_config_rejects_bad_numbers(assignment, message):
         build_config(cfg)
 
 
+PARAMETERS = (nominal_geometry(), LegAngleInterval(0.1, 1.0), nominal_masses(),
+              sim_options(), LinearSpring(k=36.0, l0=0.085), gaussian_band(),
+              mooney_band(), ForceStretchSample(1.5, 0.2))
+
+
+@pytest.mark.parametrize("obj, name", [
+    pytest.param(obj, f.name, id=f"{type(obj).__name__}.{f.name}")
+    for obj in PARAMETERS for f in dataclasses.fields(obj)])
+def test_parameter_fields_reject_bad_numbers(obj, name):
+    """Built directly, not only through build_config, every numeric field
+    rejects non-finite values, booleans and non-numbers by name."""
+    for bad in (math.nan, math.inf, -math.inf, True, None):
+        message = f"^{name} must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(obj, **{name: bad})
+
+
 def test_config_rejects_bad_elastic_number(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"elastic": {"model": "linear", "k": NaN}}')
@@ -123,6 +146,20 @@ def test_bad_number_is_a_config_error(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", "masses.mu_C=NaN"])
     assert rc == 1
     assert "masses.mu_C must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--data", "{data}"], "line 3: force must be a finite number, got 'nan'"),
+    (["phase-portrait", "--portrait-step", "0"], "step must be positive, got 0.0"),
+    (["phase-portrait", "--t-span", "-1"], "t_span must be positive, got -1.0"),
+    (["mobility", "--base-radius", "nan"], "base_radius must be a finite number, got nan"),
+])
+def test_bad_analysis_input_is_an_error(tmp_path, capsys, argv, message):
+    data = tmp_path / "band.csv"
+    data.write_text("lambda,force_N\n1.5,0.2\n2.0,nan\n2.5,0.9\n")
+    argv = [arg.format(data=data) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ── CLI commands ──────────────────────────────────────────────────────────

@@ -18,6 +18,7 @@ from sarrusjump import (
     KNEE_INVERSION,
     STICTION,
     TAKE_OFF,
+    LinearSpring,
     MassModel,
     SimOptions,
     ballistic,
@@ -282,6 +283,21 @@ def test_hard_stop_at_full_extension():
     assert summary.termination == HORIZON_EXCEEDED
     assert "hard stop" in summary.termination_detail
     assert traj.theta[-1] >= math.pi / 2
+
+
+def test_ground_contact_lost_while_collapsing_is_not_take_off():
+    # A band too weak to hold the squat: the leg folds, and F_N reaches zero
+    # at t ~ 0.05 s while the head falls.  That is no take-off; the run goes
+    # on until the knee inverts.
+    geom = nominal_geometry(a=0.0625, c=0.0546875, p=0.0, q=0.0, l0=0.0859375)
+    weak = LinearSpring(k=20.0, l0=geom.l0)
+    masses = nominal_masses(m1=1e-3, m5=0.015625)
+    for record in (True, False):
+        traj, summary = simulate_jump(geom, weak, masses,
+                                      sim_options(step=1e-4, t_max=0.5), record=record)
+        assert summary.termination == KNEE_INVERSION
+        assert traj.t[-1] == pytest.approx(0.0513, abs=5e-4)
+        assert traj.h_dot[-1] < 0.0 and traj.F_N[-1] < 0.0
 
 
 def test_sparse_recording():

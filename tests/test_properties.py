@@ -58,7 +58,7 @@ def _outcome(design, record):
     try:
         traj, summary = simulate_jump(geom, law, masses,
                                       sim_options(step=1e-4, t_max=0.5), record=record)
-    except ValueError as exc:  # e.g. a "take-off" while the leg collapses
+    except ValueError as exc:  # both modes must raise the same error, if any
         return repr(exc), ()
     return json.dumps(summary.to_dict(), sort_keys=True), list(traj.rows())[-1]
 
