@@ -25,6 +25,7 @@ from .config import (
     load_config,
 )
 from .dynamics import (
+    CONTACT_LOST,
     HORIZON_EXCEEDED,
     KNEE_INVERSION,
     STICTION,

@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .elastic import ElasticModel
 from .geometry import LegAngleInterval, LinkageGeometry, finite
-from .thrust import leg_forces
+from .thrust import leg_forces, leg_forces_array
 
 SADDLE = "Saddle"
 CENTER = "Center"
@@ -115,30 +115,26 @@ def find_equilibria(
     """Equilibria of the undamped dynamics on the interval.
 
     Roots of cos(theta) (g M3 - 4 F_y(theta)) are located by a sign scan
-    over n_scan points followed by bisection, then classified through the
-    Jacobian of the (theta, theta_dot) system: a real +/- eigenvalue pair
-    is a saddle, an imaginary pair a center.  Friction is ignored here
-    because the Coulomb term is not differentiable at rest.
+    over n_scan points (array kernel) followed by Brent refinement (scalar
+    kernel), then classified through the Jacobian of the (theta, theta_dot)
+    system: a real +/- eigenvalue pair is a saddle, an imaginary pair a
+    center.  Friction is ignored here because the Coulomb term is not
+    differentiable at rest.
     """
     dm = _LegDynamics(geom, model, _undamped(masses), exact_derivative)
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_forces(geom, model.force, th, exact_derivative)
+        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th, exact_derivative)
         return co * (dm.g * dm.M3 - 4.0 * f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
-    values = np.array([torque(float(th)) for th in grid])
+    _, co, _, _, _, f_y = leg_forces_array(geom, model, grid, exact_derivative)
+    values = co * (dm.g * dm.M3 - 4.0 * f_y)  # torque(grid), to the bit
     scale = float(np.max(np.abs(values))) or 1.0
 
-    roots: list[float] = []
-    for i in range(n_scan - 1):
-        v0, v1 = values[i], values[i + 1]
-        if v0 == 0.0:
-            roots.append(float(grid[i]))
-        elif v0 * v1 < 0.0:
-            roots.append(_brentq(torque, float(grid[i]), float(grid[i + 1])))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    roots = [float(grid[i]) for i in np.flatnonzero(values == 0.0)]
+    roots += [_brentq(torque, float(grid[i]), float(grid[i + 1]))
+              for i in np.flatnonzero(values[:-1] * values[1:] < 0.0)]
     # The cos(theta) factor vanishes at pi/2 without a sign change when the
     # band is already slack there; catch that boundary equilibrium directly.
     half_pi = math.pi / 2
@@ -268,7 +264,8 @@ class SensitivityCurve:
     parameter: str
     proportions: np.ndarray
     eta: np.ndarray        # percent; NaN where the run failed
-    status: list[str]      # ok | stiction | kneeinversion | horizonexceeded | invalid
+    status: list[str]      # ok | stiction | kneeinversion | contactlost |
+                           # horizonexceeded | invalid
     values: np.ndarray     # actual parameter values swept
 
     def rows(self):

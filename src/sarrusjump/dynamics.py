@@ -19,6 +19,10 @@ the head rising (hd > 0), of the ground reaction force
 
     F_N = (m_T - m1) hdd + (m_T - m1) g + m1 g.
 
+A zero of F_N with the head falling ends the run as lost contact: the
+ground cannot pull the foot down, and the model has no phase for a foot
+that lifts while the leg collapses.
+
 At take-off the momentum of the moving parts is shared with the foot,
 v0 = (m_T - m1) / m_T * hd(t_off), and the aerial phase is ballistic.
 
@@ -42,6 +46,7 @@ from .thrust import leg_forces
 TAKE_OFF = "TakeOff"
 STICTION = "Stiction"
 KNEE_INVERSION = "KneeInversion"
+CONTACT_LOST = "ContactLost"
 HORIZON_EXCEEDED = "HorizonExceeded"
 
 TRAJECTORY_CSV_HEADER = (
@@ -207,7 +212,7 @@ class _LegDynamics:
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "half_I", "geom", "force", "energy", "exact")
+                 "I4", "half_I", "geom", "tension", "energy", "exact")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel,
                  masses: MassModel, exact: bool = False):
@@ -222,7 +227,7 @@ class _LegDynamics:
         self.I4 = 4.0 * (masses.I1 + masses.I2)
         self.half_I = 0.5 * (masses.I1 + masses.I2)
         self.geom = geom
-        self.force = model.force
+        self.tension = model.tension
         self.energy = model.energy
         self.exact = exact
 
@@ -230,7 +235,7 @@ class _LegDynamics:
         """(theta_dot, theta_ddot, friction power, thrust power, sin, cos,
         h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then the
         kernel values behind it, passed through without extra arithmetic."""
-        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.force, theta, self.exact)
+        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.tension, theta, self.exact)
         sin2 = 2.0 * s * co
         cos2 = co * co - s * s
         denom = self.a2 * (4.0 * self.M1 * cos2 + self.M2) + self.I4
@@ -263,7 +268,7 @@ class _LegDynamics:
 
     def static_margin(self, theta):
         """Net starting torque minus the Coulomb threshold; <= 0 means stuck."""
-        _, co, _, _, _, f_y = leg_forces(self.geom, self.force, theta, self.exact)
+        _, co, _, _, _, f_y = leg_forces(self.geom, self.tension, theta, self.exact)
         return 2.0 * self.a * co * abs(self.g * self.M3 / 4.0 - f_y) - self.mu_C
 
     def observe(self, t, theta, theta_dot, d):
@@ -377,7 +382,8 @@ def integrate_decompression(
     terminal event.
 
     Events, checked each step: take-off (ground reaction crosses zero with
-    the head rising, bisection-refined), knee inversion (theta <= 0), the
+    the head rising, bisection-refined), lost contact (the same zero with
+    the head falling), knee inversion (theta <= 0), the
     pi/2 hard stop, the time horizon, and re-sticking after a velocity
     reversal.  Band slack/taut transitions are bisection-refined and the
     step is split there to preserve the integrator order.
@@ -418,8 +424,6 @@ def integrate_decompression(
         if fn_prev > 0.0 >= fn_new:
             off = _bisect_event(
                 dm, y, d, dt, y_new, d_new, lambda e: dm.reaction(e)[1], tol_t)
-            if off[2][10] <= 0.0:  # F_N = 0 with the head falling: no take-off
-                off = None
         if (d[7] - 1.0) * (d_new[7] - 1.0) < 0.0:  # lambda crosses 1
             sign = 1.0 if d[7] > 1.0 else -1.0
             slack = _bisect_event(
@@ -428,9 +432,13 @@ def integrate_decompression(
         if off is not None and (slack is None or off[0] <= slack[0]):
             tau, y, d = off
             t += tau
-            termination = TAKE_OFF
-            detail = "ground reaction force reached zero"
-            t_off = t
+            if d[10] > 0.0:  # the head rises: take-off
+                termination = TAKE_OFF
+                detail = "ground reaction force reached zero"
+                t_off = t
+            else:
+                termination = CONTACT_LOST
+                detail = "ground reaction force reached zero with the head falling"
             break
         if slack is not None:
             # Split the step at the stiffness kink; continue integrating.

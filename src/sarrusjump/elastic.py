@@ -2,9 +2,10 @@
 
 Three interchangeable force-stretch laws are supported: an ideal linear
 spring, a Gaussian (statistical, temperature-proportional) rubber law, and a
-two-coefficient Mooney-Rivlin law, each with force(lam) and energy(lam)
-methods that every caller shares.  All of them are slack-clamped: the band
-exerts no force at or below its rest length (stretch ratio lambda <= 1).
+two-coefficient Mooney-Rivlin law.  Each writes its taut-branch force once,
+in tension(lam), without a branch, so the same line takes a float or an
+ndarray; force(lam) and energy(lam) are slack-clamped: the band exerts no
+force at or below its rest length (stretch ratio lambda <= 1).
 """
 
 from __future__ import annotations
@@ -20,8 +21,15 @@ from .geometry import finite, finite_fields
 FORCE_STRETCH_HEADER = ("lambda", "force_N")
 
 
+class _BandLaw:
+    """The slack clamp shared by the band laws; tension is the taut branch."""
+
+    def force(self, lam):
+        return self.tension(lam) if lam > 1.0 else 0.0
+
+
 @dataclass(frozen=True)
-class LinearSpring:
+class LinearSpring(_BandLaw):
     """F = k (l - l0) for l > l0, else 0."""
 
     k: float   # stiffness [N/m]
@@ -30,8 +38,8 @@ class LinearSpring:
     def __post_init__(self):
         finite_fields(self, positive=("l0",), non_negative=("k",))
 
-    def force(self, lam):
-        return self.k * self.l0 * (lam - 1.0) if lam > 1.0 else 0.0
+    def tension(self, lam):
+        return self.k * self.l0 * (lam - 1.0)
 
     def energy(self, lam):
         d = lam - 1.0
@@ -39,7 +47,7 @@ class LinearSpring:
 
 
 @dataclass(frozen=True)
-class GaussianBand:
+class GaussianBand(_BandLaw):
     """F = C0 T (lambda - lambda^-2) for lambda > 1, else 0.
 
     Isothermal: T is a fixed material temperature, never a state variable.
@@ -55,8 +63,8 @@ class GaussianBand:
     def __post_init__(self):
         finite_fields(self, positive=("l0", "A0"), non_negative=("C0", "T"))
 
-    def force(self, lam):
-        return self.C0 * self.T * (lam - 1.0 / (lam * lam)) if lam > 1.0 else 0.0
+    def tension(self, lam):
+        return self.C0 * self.T * (lam - 1.0 / (lam * lam))
 
     def energy(self, lam):
         return 0.0 if lam <= 1.0 else (
@@ -64,7 +72,7 @@ class GaussianBand:
 
 
 @dataclass(frozen=True)
-class MooneyRivlinBand:
+class MooneyRivlinBand(_BandLaw):
     """F = A0 [2 C1 (lambda - lambda^-2) + 2 C2 (1 - lambda^-3)], slack-clamped."""
 
     C1: float  # [Pa]
@@ -75,9 +83,7 @@ class MooneyRivlinBand:
     def __post_init__(self):
         finite_fields(self, positive=("l0", "A0"), non_negative=("C1", "C2"))
 
-    def force(self, lam):
-        if lam <= 1.0:
-            return 0.0
+    def tension(self, lam):
         inv2 = 1.0 / (lam * lam)
         return (2.0 * self.A0 * self.C1 * (lam - inv2)
                 + 2.0 * self.A0 * self.C2 * (1.0 - inv2 / lam))

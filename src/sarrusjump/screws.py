@@ -27,6 +27,14 @@ _PAIRING[3:, :3] = np.eye(3)
 _TOL = 1e-9
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two float 3-vectors: np.cross's products and differences,
+    hence its result to the bit, without its general-shape overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class Screw:
     """Six-component screw in Plücker coordinates, stored as (s, s0)."""
@@ -45,7 +53,7 @@ class Screw:
         """Zero-pitch line screw of a revolute joint: [e; r x e]."""
         axis = np.asarray(axis, dtype=float)
         point = np.asarray(point, dtype=float)
-        return cls(axis, np.cross(point, axis))
+        return cls(axis, _cross(point, axis))
 
     @classmethod
     def couple(cls, direction) -> "Screw":
@@ -217,7 +225,7 @@ class SarrusMechanism:
                 if abs(off) > _TOL * max(1.0, float(np.linalg.norm(r))):
                     raise ValueError(f"chain {i} joint {label} leaves its plane")
         if not any(
-            np.linalg.norm(np.cross(self.normals[i], self.normals[j])) > _TOL
+            np.linalg.norm(_cross(self.normals[i], self.normals[j])) > _TOL
             for i in range(n) for j in range(i + 1, n)
         ):
             raise ValueError("all chain planes are parallel: mechanism degenerate")
@@ -227,7 +235,7 @@ def intersection_direction(e1, e2) -> np.ndarray:
     """Unit direction of the intersection line of two planes, e1 x e2 / |.|."""
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    cross = np.cross(e1, e2)
+    cross = _cross(e1, e2)
     norm = float(np.linalg.norm(cross))
     if norm <= _TOL:
         raise ValueError("parallel planes have no unique intersection direction")
@@ -259,7 +267,7 @@ def build_sarrus(n: int, azimuths: Sequence[float], a: float, theta: float,
     normals, r_a, r_b, r_c = [], [], [], []
     for az in azimuths:
         radial = np.array([math.cos(az), math.sin(az), 0.0])
-        normals.append(np.cross(radial, z))
+        normals.append(_cross(radial, z))
         A = base_radius * radial
         r_a.append(A)
         r_b.append(A + a * math.cos(theta) * radial + a * math.sin(theta) * z)
@@ -268,7 +276,7 @@ def build_sarrus(n: int, azimuths: Sequence[float], a: float, theta: float,
     e_c = None
     for i in range(n):
         for j in range(i + 1, n):
-            cross = np.cross(normals[i], normals[j])
+            cross = _cross(normals[i], normals[j])
             if np.linalg.norm(cross) > _TOL:
                 e_c = cross / np.linalg.norm(cross)
                 break
@@ -305,7 +313,7 @@ def chain_constraint_screws(mech: SarrusMechanism, i: int,
         return ScrewSystem([
             Screw.revolute(e, mech.r_C[i]),
             Screw.couple(mech.e_C),
-            Screw.couple(np.cross(mech.e_C, e)),
+            Screw.couple(_cross(mech.e_C, e)),
         ])
     if method == "numeric":
         return chain_joint_screws(mech, i).reciprocal()

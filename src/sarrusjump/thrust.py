@@ -5,8 +5,13 @@ separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
 
 leg_forces evaluates theta -> (h, lambda, F_l, F_y) for the scalar API and the
-integrator; anchor_distance repeats its stretch line for speed, and an
-exact-equality test keeps the two copies in step.
+integrator; anchor_distance repeats its stretch line for speed.
+leg_forces_array is its array twin for theta grids (thrust_profile and the
+find_equilibria scan): the same arithmetic in the same order, with numpy in
+place of math and np.maximum/np.where in place of the ifs, so it equals the
+scalar kernel bit for bit.  Exact-equality tests hold the copies in step:
+test_leg_forces_array_equals_scalar_kernel and
+test_scalar_api_and_integrator_agree_exactly in tests/test_thrust.py.
 """
 
 from __future__ import annotations
@@ -30,12 +35,14 @@ from .geometry import (
 )
 
 
-def leg_forces(geom: LinkageGeometry, force, theta: float, exact: bool):
+def leg_forces(geom: LinkageGeometry, tension, theta: float, exact: bool,
+               slack_at: float = 1.0):
     """(sin, cos, h, lambda, F_l, F_y) at leg angle theta, unchecked.
 
-    force is a band law's force method.  The anchor separation is the
-    reduced l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope
-    convention selected by exact.
+    tension is a band law's tension method; the band is slack, F_l = 0,
+    while lambda <= slack_at.  The anchor separation is the reduced
+    l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope convention
+    selected by exact.
     """
     s = math.sin(theta)
     co = math.cos(theta)
@@ -44,7 +51,7 @@ def leg_forces(geom: LinkageGeometry, force, theta: float, exact: bool):
     if u < ARM_FLOOR:  # an if, not max(): this runs in every RHS evaluation
         u = ARM_FLOOR
     lam = (geom.c + SQRT3 * u) / geom.l0
-    f_l = force(lam)
+    f_l = tension(lam) if lam > slack_at else 0.0
     if f_l == 0.0:
         return s, co, h, lam, 0.0, 0.0
     if exact:
@@ -52,6 +59,23 @@ def leg_forces(geom: LinkageGeometry, force, theta: float, exact: bool):
     else:
         slope = SQRT3 * h / (4.0 * u)
     return s, co, h, lam, f_l, f_l * slope
+
+
+def leg_forces_array(geom: LinkageGeometry, model: ElasticModel,
+                     theta: np.ndarray, exact: bool):
+    """leg_forces over an array of leg angles: six arrays, each equal to
+    the scalar kernel's column bit for bit."""
+    s = np.sin(theta)
+    co = np.cos(theta)
+    h = 2.0 * (geom.a * s + geom.p)
+    u = np.maximum(geom.a * co + geom.q, ARM_FLOOR)
+    lam = (geom.c + SQRT3 * u) / geom.l0
+    f_l = np.where(lam > 1.0, model.tension(lam), 0.0)
+    if exact:
+        slope = 0.5 * SQRT3 * s / np.maximum(co, 1e-12)
+    else:
+        slope = SQRT3 * h / (4.0 * u)
+    return s, co, h, lam, f_l, np.where(f_l == 0.0, 0.0, f_l * slope)
 
 
 def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
@@ -68,7 +92,7 @@ def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
     knee anchor offsets as well.
     """
     _check_theta(theta)
-    return leg_forces(geom, lambda lam: 1.0, theta, exact)[5]  # F_l = 1
+    return leg_forces(geom, lambda lam: 1.0, theta, exact, -math.inf)[5]  # F_l = 1
 
 
 def thrust_force(
@@ -80,7 +104,7 @@ def thrust_force(
     convention selected by ``exact``.
     """
     check_pose(geom, theta)
-    return leg_forces(geom, model.force, theta, exact)[5]
+    return leg_forces(geom, model.tension, theta, exact)[5]
 
 
 def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:
@@ -177,8 +201,7 @@ def thrust_profile(
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     check_pose(geom, interval.theta_min)  # h grows with theta
     theta = np.linspace(interval.theta_min, interval.theta_max, n_samples)
-    rows = [leg_forces(geom, model.force, th, exact) for th in theta.tolist()]
-    _, _, h, lam, f_l, f_y = (np.array(col) for col in zip(*rows))
+    _, _, h, lam, f_l, f_y = leg_forces_array(geom, model, theta, exact)
     h_max = h.max()
     fy_max = f_y.max()
     return ThrustProfile(

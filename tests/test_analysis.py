@@ -26,6 +26,7 @@ from sarrusjump import (
 import sarrusjump.analysis as analysis_module
 from sarrusjump.analysis import _brentq
 from sarrusjump.dynamics import _integrate_raw, _LegDynamics
+from sarrusjump.thrust import leg_forces
 
 from params import (
     MU_IDENTIFIED,
@@ -113,6 +114,47 @@ def test_equilibria_stable_under_grid_refinement():
     for a, b in zip(coarse, fine):
         assert a.kind == b.kind
         assert a.theta_star == pytest.approx(b.theta_star, abs=1e-9)
+
+
+def scalar_scan_equilibria(geom, model, masses, interval, n_scan):
+    """Oracle: the per-point scalar sign scan find_equilibria ran before its
+    scan used the array kernel, with the same refinement and classification."""
+    dm = _LegDynamics(geom, model, masses)
+
+    def torque(th):
+        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th, False)
+        return co * (dm.g * dm.M3 - 4.0 * f_y)
+
+    grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
+    values = np.array([torque(float(th)) for th in grid])
+    scale = float(np.max(np.abs(values))) or 1.0
+    roots = []
+    for i in range(n_scan - 1):
+        if values[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif values[i] * values[i + 1] < 0.0:
+            roots.append(_brentq(torque, float(grid[i]), float(grid[i + 1])))
+    if values[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    half_pi = math.pi / 2
+    if (interval.theta_max >= half_pi - 1e-9 and abs(torque(half_pi)) <= 1e-9 * scale
+            and not any(abs(r - half_pi) < 1e-6 for r in roots)):
+        roots.append(half_pi)
+    found = []
+    for root in sorted(roots):
+        if not found or abs(root - found[-1].theta_star) >= 1e-9:
+            found.append(analysis_module._classify(dm, root))
+    return found
+
+
+@pytest.mark.parametrize("n_scan", (2000, 4001, 16000))
+@pytest.mark.parametrize("geometry", ("nominal", "pin"))
+def test_equilibria_equal_scalar_scan(geometry, n_scan):
+    geom = GEOM if geometry == "nominal" else pin_geometry()
+    band = mooney_band(geom)
+    got = find_equilibria(geom, band, M_FREE, FULL_RANGE, n_scan=n_scan)
+    assert got == scalar_scan_equilibria(geom, band, M_FREE, FULL_RANGE, n_scan)
+    assert any(e.kind == CENTER for e in got)
 
 
 def test_saddle_separatrix_behaviour_single_pin():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sarrusjump import (
+    CONTACT_LOST,
     HORIZON_EXCEEDED,
     KNEE_INVERSION,
     STICTION,
@@ -287,17 +288,20 @@ def test_hard_stop_at_full_extension():
 
 def test_ground_contact_lost_while_collapsing_is_not_take_off():
     # A band too weak to hold the squat: the leg folds, and F_N reaches zero
-    # at t ~ 0.05 s while the head falls.  That is no take-off; the run goes
-    # on until the knee inverts.
+    # at t ~ 0.05 s while the head falls.  That is no take-off, and the
+    # ground cannot pull the foot down either: the run ends there as lost
+    # contact, not later as a knee inversion.
     geom = nominal_geometry(a=0.0625, c=0.0546875, p=0.0, q=0.0, l0=0.0859375)
     weak = LinearSpring(k=20.0, l0=geom.l0)
     masses = nominal_masses(m1=1e-3, m5=0.015625)
     for record in (True, False):
         traj, summary = simulate_jump(geom, weak, masses,
                                       sim_options(step=1e-4, t_max=0.5), record=record)
-        assert summary.termination == KNEE_INVERSION
-        assert traj.t[-1] == pytest.approx(0.0513, abs=5e-4)
-        assert traj.h_dot[-1] < 0.0 and traj.F_N[-1] < 0.0
+        assert summary.termination == CONTACT_LOST
+        assert traj.t_off is None and math.isnan(summary.v0_mps)
+        assert traj.t[-1] == pytest.approx(0.0500, abs=5e-4)
+        assert traj.h_dot[-1] < 0.0
+        assert abs(traj.F_N[-1]) < 1e-6 and np.all(traj.F_N[:-1] > 0.0)
 
 
 def test_sparse_recording():

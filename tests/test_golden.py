@@ -32,6 +32,13 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 FAST = ["--set", "sim.step=5e-5"]
 LINEAR = {"elastic": {"model": "linear", "k": 36.0}}
 GAUSSIAN = {"elastic": {"model": "gaussian", "C0": 4.794e-3, "T": 296.0}}
+# A band too weak to hold the squat: the leg collapses until the ground
+# reaction reaches zero with the head falling.
+COLLAPSE = {"geometry": {"a": 0.0625, "c": 0.0546875, "p": 0.0, "q": 0.0,
+                         "l0": 0.0859375},
+            "elastic": {"model": "linear", "k": 20.0},
+            "masses": {"m1": 1e-3, "m5": 0.015625, "mu_C": 0.0},
+            "sim": {"step": 1e-4, "t_max": 0.5}}
 
 # case name -> (argv after --out, config file content or None, exit code)
 CASES = {
@@ -48,6 +55,7 @@ CASES = {
                                  "--set", "masses.mu_C=0"] + FAST, None, 2),
     "simulate_horizon": (["simulate", "--set", "sim.t_max=0.05"] + FAST, None, 2),
     "simulate_stiction": (["simulate", "--set", "masses.mu_C=1"] + FAST, None, 2),
+    "simulate_contact_lost": (["simulate"], COLLAPSE, 2),
     "sensitivity_m5": (["sensitivity", "--parameter", "m5", "--points", "11"] + FAST,
                        None, 0),
     "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST,

@@ -31,6 +31,7 @@ from sarrusjump import (
     reciprocal_product,
     subspace_angle,
 )
+from sarrusjump.screws import _cross
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -63,6 +64,20 @@ def test_reciprocal_product_symmetry():
         s2 = Screw(rng.standard_normal(3), rng.standard_normal(3))
         assert reciprocal_product(s1, s2) == pytest.approx(
             reciprocal_product(s2, s1), rel=1e-12)
+
+
+def test_cross_helper_equals_np_cross():
+    """_cross does np.cross's products and differences, so it returns the
+    same bits, signed zeros included, across 16 decades of magnitude."""
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-8, 8, size=(20_000, 2, 1))
+    pairs = rng.standard_normal((20_000, 2, 3)) * scale
+    units = [X, Y, Z, -X, np.zeros(3), np.array([0.0, -0.0, 1.0])]
+    cases = [(a, b) for a in units for b in units] + [tuple(p) for p in pairs]
+    for a, b in cases:
+        got = _cross(a, b)
+        assert np.array_equal(got, np.cross(a, b))
+        assert got.tobytes() == np.cross(a, b).tobytes()
 
 
 def test_screw_classification():

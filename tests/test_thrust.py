@@ -1,7 +1,7 @@
 """Thrust force: closed forms against the generic virtual-work path,
 brute-force profile oracles for the peak and distension heights, the
 force-inversion property of the anchor-matched band, and bit-for-bit
-agreement of the scalar API with the integrator."""
+agreement of the scalar API, the integrator and the array kernel."""
 
 import math
 
@@ -26,6 +26,8 @@ from sarrusjump import (
 )
 
 from sarrusjump.dynamics import _LegDynamics
+from sarrusjump.geometry import ARM_FLOOR
+from sarrusjump.thrust import leg_forces, leg_forces_array
 
 from params import (
     gaussian_band,
@@ -228,3 +230,55 @@ def test_profile_and_trajectory_agree_exactly():
         theta = float(theta)
         assert stretch(GEOM, theta) == lam
         assert thrust_force(GEOM, MR, theta) == f_y
+
+
+# (geometry, band law) pairs for the array kernel: the three laws, a k = 0
+# spring (taut with zero tension), a band slack at every angle, the pin
+# knee, whose arm a cos(theta) + q reaches the floor at pi/2, and a band
+# taut at every angle, so the floors act under tension.
+SLACK = LinkageGeometry(a=1.0, c=0.3, p=0.0, q=0.0, l0=5.0, A0=1e-4)
+TAUT = LinkageGeometry(a=1.0, c=1.0, p=0.0, q=0.0, l0=1.0, A0=1e-4)
+KERNEL_CASES = {
+    "mooney_rivlin": (GEOM, MR),
+    "gaussian": (GEOM, gaussian_band()),
+    "linear": (GEOM, LinearSpring(k=36.0, l0=GEOM.l0)),
+    "linear_k0": (GEOM, LinearSpring(k=0.0, l0=GEOM.l0)),
+    "slack": (SLACK, mooney_band(SLACK)),
+    "pin": (pin_geometry(), mooney_band(pin_geometry())),
+    "taut": (TAUT, LinearSpring(k=1.0, l0=1.0)),
+}
+
+
+@pytest.mark.parametrize("exact", (False, True))
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_leg_forces_array_equals_scalar_kernel(case, exact):
+    """leg_forces_array returns the scalar kernel's six columns to the bit
+    on a 200,001-point grid over [1e-4, pi/2] and on random angles past
+    both ends, where the arm and cos(theta) floors act (RK4 overshoot)."""
+    geom, model = KERNEL_CASES[case]
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([np.linspace(1e-4, math.pi / 2, 200_001),
+                            rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)])
+    got = leg_forces_array(geom, model, theta, exact)
+    want = np.array([leg_forces(geom, model.tension, th, exact)
+                     for th in theta.tolist()]).T
+    for column, name in enumerate(("sin", "cos", "h", "lambda", "F_l", "F_y")):
+        assert got[column].dtype == np.float64
+        assert np.array_equal(got[column], want[column]), name
+
+
+def test_array_kernel_cases_reach_every_branch():
+    """The kernel cases above cover slack and taut bands, zero tension when
+    taut, and the arm and cos(theta) floors under tension."""
+    theta = np.linspace(1e-4, math.pi / 2, 2001)
+    lam = leg_forces_array(GEOM, MR, theta, False)[3]
+    assert np.any(lam > 1.0) and np.any(lam <= 1.0)
+    _, _, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["linear_k0"], theta, False)
+    assert np.any(lam > 1.0) and np.all(f_l == 0.0)
+    assert np.all(leg_forces_array(*KERNEL_CASES["slack"], theta, False)[3] <= 1.0)
+    pin = KERNEL_CASES["pin"][0]
+    assert pin.a * math.cos(math.pi / 2) + pin.q < ARM_FLOOR
+    past_stop = np.linspace(math.pi / 2, math.pi / 2 + 0.3, 100)
+    _, co, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["taut"], past_stop, True)
+    assert np.all(co < 1e-12) and np.all(lam > 1.0) and np.all(f_l > 0.0)
+
