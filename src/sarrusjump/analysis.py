@@ -268,9 +268,10 @@ class SensitivityCurve:
                            # horizonexceeded | invalid
     values: np.ndarray     # actual parameter values swept
 
-    def rows(self):
-        for prop, eta, status in zip(self.proportions, self.eta, self.status):
-            yield self.parameter, prop, eta, status
+    def columns(self):
+        """The columns in SENSITIVITY_CSV_HEADER order."""
+        return ([self.parameter] * len(self.status), self.proportions, self.eta,
+                self.status)
 
 
 def sensitivity(

@@ -129,7 +129,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
                                   exact_derivative=args.exact_derivative)
-    write_csv(out / "trajectory.csv", TRAJECTORY_CSV_HEADER, traj.rows())
+    write_csv(out / "trajectory.csv", TRAJECTORY_CSV_HEADER, traj.columns())
     write_json(out / "summary.json", summary.to_dict())
     print(f"wrote {out / 'trajectory.csv'}")
     print(f"wrote {out / 'summary.json'}")
@@ -142,7 +142,7 @@ def cmd_thrust_profile(args) -> int:
     out = _outdir(args)
     interval = LegAngleInterval(args.theta_min, args.theta_max)
     profile = thrust_profile(run.geometry, run.elastic, interval, args.n_samples)
-    write_csv(out / "thrust_profile.csv", ThrustProfile.CSV_HEADER, profile.rows())
+    write_csv(out / "thrust_profile.csv", ThrustProfile.CSV_HEADER, profile.columns())
     print(f"wrote {out / 'thrust_profile.csv'}")
     return 0
 
@@ -161,7 +161,7 @@ def cmd_phase_portrait(args) -> int:
     for i, traj in enumerate(trajectories):
         name = f"portrait_{i:03d}.csv"
         write_csv(out / name, analysis.PORTRAIT_CSV_HEADER,
-                  zip(traj.t, traj.theta, traj.theta_dot, traj.energy))
+                  (traj.t, traj.theta, traj.theta_dot, traj.energy))
         index.append({"file": name, "theta0": traj.theta0, "status": traj.status,
                       "samples": len(traj.t)})
     write_json(out / "portrait_index.json",
@@ -177,7 +177,7 @@ def cmd_sensitivity(args) -> int:
     curve = analysis.sensitivity(run.geometry, run.elastic, run.masses,
                                  args.parameter, proportions, run.sim)
     path = out / f"sensitivity_{args.parameter}.csv"
-    write_csv(path, analysis.SENSITIVITY_CSV_HEADER, curve.rows())
+    write_csv(path, analysis.SENSITIVITY_CSV_HEADER, curve.columns())
     print(f"wrote {path}")
     return 0
 

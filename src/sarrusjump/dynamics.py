@@ -117,9 +117,9 @@ class SimOptions:
 class Trajectory:
     """Decompression time series plus termination metadata.
 
-    All columns are parallel arrays; h, hd, hdd are recomputed from
-    (theta, theta_dot, theta_ddot) at every record, so they are consistent
-    with theta by construction.
+    All columns are parallel arrays, built once from the recorded kernel
+    evaluations; h, hd, hdd come from (theta, theta_dot, theta_ddot) of the
+    same node, so they are consistent with theta by construction.
     """
 
     t: np.ndarray
@@ -144,10 +144,11 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    def rows(self):
-        return zip(self.t, self.theta, self.theta_dot, self.h, self.h_dot,
-                   self.h_ddot, self.lam, self.F_l, self.F_y, self.F_N,
-                   self.T_kin, self.V_pot, self.E_band)
+    def columns(self):
+        """The 13 columns in TRAJECTORY_CSV_HEADER order."""
+        return (self.t, self.theta, self.theta_dot, self.h, self.h_dot,
+                self.h_ddot, self.lam, self.F_l, self.F_y, self.F_N,
+                self.T_kin, self.V_pot, self.E_band)
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,10 @@ class _LegDynamics:
     """Bound-parameter evaluator for the decompression equation of motion.
 
     derivatives() is the one evaluation of the model at a state: the RK4
-    stages, the event tests (reaction) and the trajectory rows (observe)
-    all read its tuple, so no state is passed through the kernel twice.
+    stages, the event tests (reaction) and the recorded trajectory all read
+    its tuple, so no state is passed through the kernel twice.  reaction,
+    kinetic and potential take floats or, for a whole trajectory at once,
+    arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
@@ -251,34 +254,26 @@ class _LegDynamics:
                 s, co, h, lam, f_l, f_y, h_dot)
 
     def reaction(self, d):
-        """(h_ddot, F_N) from one derivatives() tuple."""
+        """(h_ddot, F_N) from one derivatives() tuple, or from its columns
+        stacked as the rows of an array."""
         theta_dot, tdd, _, _, s, co = d[:6]
         h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
         return h_dd, (self.m_T - self.m1) * h_dd + self.m_T * self.g
 
     def kinetic(self, theta, theta_dot):
-        cos2 = math.cos(2.0 * theta)
+        cos2 = np.cos(2.0 * theta)
         td2 = theta_dot * theta_dot
         return (self.a2 / 8.0 * (4.0 * self.M1 * cos2 + self.M2) * td2
                 + self.half_I * td2)
 
     def potential(self, theta):
-        return (0.5 * self.a * self.g * self.M3 * math.sin(theta)
+        return (0.5 * self.a * self.g * self.M3 * np.sin(theta)
                 + self.p * self.g * self.M4)
 
     def static_margin(self, theta):
         """Net starting torque minus the Coulomb threshold; <= 0 means stuck."""
         _, co, _, _, _, f_y = leg_forces(self.geom, self.tension, theta, self.exact)
         return 2.0 * self.a * co * abs(self.g * self.M3 / 4.0 - f_y) - self.mu_C
-
-    def observe(self, t, theta, theta_dot, d):
-        """One trajectory row (13 columns) from the derivatives() tuple d at
-        (theta, theta_dot)."""
-        _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
-        h_dd, f_n = self.reaction(d)
-        return (t, theta, theta_dot, h, h_dot, h_dd, lam, f_l, f_y, f_n,
-                self.kinetic(theta, theta_dot), self.potential(theta),
-                self.energy(lam))
 
 
 def _rk4(dm: _LegDynamics, y, k1, dt):
@@ -396,23 +391,27 @@ def integrate_decompression(
     tol_t = options.event_tolerance
 
     # d is the one derivatives() evaluation at the current state y: it is
-    # the next step's k1 and feeds the event tests and the row.
+    # the next step's k1 and feeds the event tests and the recorded node.
     d = dm.derivatives(th0, 0.0)
-    rows = [dm.observe(0.0, th0, 0.0, d)]
+    # The recorded nodes: their times, and theta then d of each, back to
+    # back in one flat list of floats, so that no per-node container
+    # outlives its step for the garbage collector to traverse.
+    ts = [0.0]
+    nodes = [th0, *d]
     termination = HORIZON_EXCEEDED
     detail = "time horizon exceeded before take-off"
     t_off = None
 
     if dm.static_margin(th0) <= 0.0:
         return _build_trajectory(
-            rows, STICTION,
+            dm, ts, nodes, STICTION,
             "drive torque at rest does not exceed the Coulomb threshold",
             None, 0.0, 0.0,
         )
 
     t = 0.0
     y = (th0, 0.0, 0.0, 0.0)  # theta, theta_dot, friction work, thrust work
-    fn_prev = rows[0][9]
+    fn_prev = dm.reaction(d)[1]
 
     while t < options.t_max - 1e-15:
         dt = min(dt_nom, options.t_max - t)
@@ -445,7 +444,8 @@ def integrate_decompression(
             tau, y, d = slack
             t += tau
             if record:
-                rows.append(dm.observe(t, y[0], y[1], d))
+                ts.append(t)
+                nodes += (y[0], *d)
             fn_prev = dm.reaction(d)[1]
             continue
 
@@ -467,20 +467,29 @@ def integrate_decompression(
             detail = "decompression reversed and re-stuck below the Coulomb threshold"
             break
         if record:
-            rows.append(dm.observe(t, y[0], y[1], d))
+            ts.append(t)
+            nodes += (y[0], *d)
 
-    if rows[-1][0] < t:  # the terminal row of every exit after the start
-        rows.append(dm.observe(t, y[0], y[1], d))
+    if ts[-1] < t:  # the terminal node of every exit after the start
+        ts.append(t)
+        nodes += (y[0], *d)
 
-    return _build_trajectory(rows, termination, detail, t_off, y[2], y[3])
+    return _build_trajectory(dm, ts, nodes, termination, detail, t_off, y[2], y[3])
 
 
-def _build_trajectory(rows, termination, detail, t_off, w_friction, w_thrust):
-    cols = [np.array(col, dtype=float) for col in zip(*rows)]
+def _build_trajectory(dm, ts, nodes, termination, detail, t_off,
+                      w_friction, w_thrust):
+    """The Trajectory of the recorded nodes: every column at once, through
+    the same expressions the integrator uses."""
+    columns = np.fromiter(nodes, float, len(nodes)).reshape(len(ts), -1).T
+    theta, d = columns[0], columns[1:]  # d[k]: entry k of every derivatives() tuple
+    theta_dot, h, lam, f_l, f_y, h_dot = d[0], d[6], d[7], d[8], d[9], d[10]
+    h_dd, f_n = dm.reaction(d)
     return Trajectory(
-        t=cols[0], theta=cols[1], theta_dot=cols[2], h=cols[3], h_dot=cols[4],
-        h_ddot=cols[5], lam=cols[6], F_l=cols[7], F_y=cols[8], F_N=cols[9],
-        T_kin=cols[10], V_pot=cols[11], E_band=cols[12],
+        t=np.array(ts), theta=theta, theta_dot=theta_dot, h=h, h_dot=h_dot,
+        h_ddot=h_dd, lam=lam, F_l=f_l, F_y=f_y, F_N=f_n,
+        T_kin=dm.kinetic(theta, theta_dot), V_pot=dm.potential(theta),
+        E_band=dm.energy(lam),
         termination=termination, termination_detail=detail, t_off=t_off,
         friction_work=float(w_friction), thrust_work=float(w_thrust),
     )
@@ -561,19 +570,17 @@ def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
     n = max(int(round(t_span / step)), 1)
     dt = (t_span / n) * (1.0 if forward else -1.0)
     ts = [0.0]
-    thetas = [theta0]
-    omegas = [theta_dot0]
-    energies = [dm.kinetic(theta0, theta_dot0) + dm.potential(theta0)]
     y = (theta0, theta_dot0, 0.0, 0.0)
+    states = list(y)  # flat, as the nodes of integrate_decompression
     exited = False
     for i in range(1, n + 1):
         y = _rk4(dm, y, dm.derivatives(y[0], y[1]), dt)
         ts.append(i * dt)
-        thetas.append(y[0])
-        omegas.append(y[1])
-        energies.append(dm.kinetic(y[0], y[1]) + dm.potential(y[0]) - y[3])
+        states += y
         if not (bounds[0] <= y[0] <= bounds[1]):
             exited = True
             break
-    return (np.array(ts), np.array(thetas), np.array(omegas),
-            np.array(energies), exited)
+    states = np.fromiter(states, float, len(states)).reshape(len(ts), 4)
+    theta, theta_dot, _, thrust_work = states.T
+    energy = dm.kinetic(theta, theta_dot) + dm.potential(theta) - thrust_work
+    return np.array(ts), theta, theta_dot, energy, exited

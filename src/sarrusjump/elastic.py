@@ -2,10 +2,11 @@
 
 Three interchangeable force-stretch laws are supported: an ideal linear
 spring, a Gaussian (statistical, temperature-proportional) rubber law, and a
-two-coefficient Mooney-Rivlin law.  Each writes its taut-branch force once,
-in tension(lam), without a branch, so the same line takes a float or an
-ndarray; force(lam) and energy(lam) are slack-clamped: the band exerts no
-force at or below its rest length (stretch ratio lambda <= 1).
+two-coefficient Mooney-Rivlin law.  Each writes its taut-branch force and
+energy once, in tension(lam) and strain_energy(lam), without a branch, so
+the same line takes a float or an ndarray; force(lam) and energy(lam) are
+slack-clamped: the band exerts no force and stores no energy at or below its
+rest length (stretch ratio lambda <= 1).
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ FORCE_STRETCH_HEADER = ("lambda", "force_N")
 
 
 class _BandLaw:
-    """The slack clamp shared by the band laws; tension is the taut branch."""
+    """The slack clamp shared by the band laws; tension and strain_energy
+    are the taut branches."""
 
     def force(self, lam):
         return self.tension(lam) if lam > 1.0 else 0.0
+
+    def energy(self, lam):
+        """Stored energy at lam, a float or an ndarray; every strain_energy
+        is 0 at lam = 1, so clamping lam there clamps the slack band."""
+        return self.strain_energy(np.maximum(lam, 1.0))
 
 
 @dataclass(frozen=True)
@@ -41,9 +48,9 @@ class LinearSpring(_BandLaw):
     def tension(self, lam):
         return self.k * self.l0 * (lam - 1.0)
 
-    def energy(self, lam):
+    def strain_energy(self, lam):
         d = lam - 1.0
-        return 0.0 if lam <= 1.0 else 0.5 * self.k * self.l0 * self.l0 * d * d
+        return 0.5 * self.k * self.l0 * self.l0 * d * d
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,8 @@ class GaussianBand(_BandLaw):
     def tension(self, lam):
         return self.C0 * self.T * (lam - 1.0 / (lam * lam))
 
-    def energy(self, lam):
-        return 0.0 if lam <= 1.0 else (
-            self.C0 * self.T * self.l0 * (0.5 * lam * lam + 1.0 / lam - 1.5))
+    def strain_energy(self, lam):
+        return self.C0 * self.T * self.l0 * (0.5 * lam * lam + 1.0 / lam - 1.5)
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,10 @@ class MooneyRivlinBand(_BandLaw):
         return (2.0 * self.A0 * self.C1 * (lam - inv2)
                 + 2.0 * self.A0 * self.C2 * (1.0 - inv2 / lam))
 
-    def energy(self, lam):
+    def strain_energy(self, lam):
         d = lam - 1.0
         bracket = self.C1 * lam * (lam + 2.0) + 2.0 * self.C2 * lam + self.C2
-        return 0.0 if lam <= 1.0 else self.A0 * self.l0 / (lam * lam) * d * d * bracket
+        return self.A0 * self.l0 / (lam * lam) * d * d * bracket
 
 
 ElasticModel = Union[LinearSpring, GaussianBand, MooneyRivlinBand]
@@ -120,7 +126,7 @@ def stored_energy(model: ElasticModel, lam: float) -> float:
 
     Zero for lam <= 1; continuous at lam = 1.
     """
-    return model.energy(finite("lam", lam, "positive"))
+    return float(model.energy(finite("lam", lam, "positive")))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value) -> str:
-    """One cell: a string as is, a number as 12-significant-digit text
-    (nan, inf and -inf included)."""
-    return value if isinstance(value, str) else f"{float(value):.12g}"
+# Rows formatted per write: enough to amortise the per-chunk calls, few
+# enough that a chunk's Python floats and text stay small next to the
+# arrays they come from.
+_CHUNK_ROWS = 2048
 
 
 def round12(obj):
@@ -36,12 +36,21 @@ def round12(obj):
     return obj
 
 
-def write_csv(path, header, rows) -> Path:
+def write_csv(path, header, columns) -> Path:
+    """Write parallel columns under header, one line per row.
+
+    A column of strings is written as is; any other column as numbers in
+    12-significant-digit %g text (nan, inf, -inf and -0 included).  Rows
+    are formatted through one row template, a chunk of rows at a time.
+    """
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(column) for column in columns]
+    template = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in columns) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([template % row for row in zip(*chunk)]))
     return path
 
 

@@ -184,9 +184,10 @@ class ThrustProfile:
     def __len__(self):
         return len(self.theta)
 
-    def rows(self):
-        return zip(self.theta, self.h, self.lam, self.F_l, self.F_y,
-                   self.h_norm, self.Fy_norm)
+    def columns(self):
+        """The columns in CSV_HEADER order."""
+        return (self.theta, self.h, self.lam, self.F_l, self.F_y,
+                self.h_norm, self.Fy_norm)
 
 
 def thrust_profile(
@@ -196,10 +197,13 @@ def thrust_profile(
     n_samples: int,
     exact: bool = False,
 ) -> ThrustProfile:
-    """Uniform theta sampling of (h, lambda, F_l, F_y) over the interval."""
+    """Uniform theta sampling of (h, lambda, F_l, F_y) over the interval.
+
+    The interval and p >= 0 keep h >= 0; h = 0 at theta = 0 for a knee
+    without the p offset, where the kernel gives F_y = 0.
+    """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    check_pose(geom, interval.theta_min)  # h grows with theta
     theta = np.linspace(interval.theta_min, interval.theta_max, n_samples)
     _, _, h, lam, f_l, f_y = leg_forces_array(geom, model, theta, exact)
     h_max = h.max()

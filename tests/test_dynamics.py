@@ -40,6 +40,7 @@ from sarrusjump import (
 
 from params import (
     MU_IDENTIFIED,
+    gaussian_band,
     mooney_band,
     nominal_geometry,
     nominal_masses,
@@ -310,6 +311,64 @@ def test_sparse_recording():
     assert summary.termination == TAKE_OFF
 
 
+def _observe(dm, model, t, theta, theta_dot):
+    """One trajectory row evaluated per node with scalar math, as the
+    recorder did before it derived whole columns: the kernel at (theta,
+    theta_dot), the reaction, the energies with math.cos and math.sin, and
+    the slack clamp as a branch."""
+    d = dm.derivatives(theta, theta_dot)
+    _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
+    h_dd, f_n = dm.reaction(d)
+    td2 = theta_dot * theta_dot
+    kinetic = (dm.a2 / 8.0 * (4.0 * dm.M1 * math.cos(2.0 * theta) + dm.M2) * td2
+               + dm.half_I * td2)
+    potential = 0.5 * dm.a * dm.g * dm.M3 * math.sin(theta) + dm.p * dm.g * dm.M4
+    band = model.strain_energy(lam) if lam > 1.0 else 0.0
+    return (t, theta, theta_dot, h, h_dot, h_dd, lam, f_l, f_y, f_n,
+            kinetic, potential, band)
+
+
+COLLAPSE_GEOM = nominal_geometry(a=0.0625, c=0.0546875, p=0.0, q=0.0, l0=0.0859375)
+# name -> (geometry, band law, masses, exact derivative, theta0, termination):
+# the three laws in both slope conventions, then a slack split ending at the
+# hard stop, stiction at rest and after a reversal, and lost contact.
+RECORDED_RUNS = {
+    "mooney": (GEOM, MR, M_DAMPED, False, 0.066, TAKE_OFF),
+    "mooney_exact": (GEOM, MR, M_FREE, True, 0.066, KNEE_INVERSION),
+    "gaussian": (GEOM, gaussian_band(), M_DAMPED, False, 0.066, TAKE_OFF),
+    "gaussian_exact": (GEOM, gaussian_band(), M_FREE, True, 0.3, TAKE_OFF),
+    "linear": (GEOM, LinearSpring(k=36.0, l0=GEOM.l0), M_FREE, False, 0.066, TAKE_OFF),
+    "linear_exact": (GEOM, LinearSpring(k=36.0, l0=GEOM.l0), M_FREE, True, 0.3,
+                     TAKE_OFF),
+    "slack_hard_stop": (GEOM, MR, nominal_masses(m1=50.0), False, 0.066,
+                        HORIZON_EXCEEDED),
+    "stiction_at_rest": (GEOM, MR, nominal_masses(mu_C=1.0), False, 0.066, STICTION),
+    "stiction_restuck": (GEOM, MR, nominal_masses(mu_C=1e-3), False, 1.45, STICTION),
+    "contact_lost": (COLLAPSE_GEOM, LinearSpring(k=20.0, l0=COLLAPSE_GEOM.l0),
+                     nominal_masses(m1=1e-3, m5=0.015625), False, 0.066, CONTACT_LOST),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_RUNS))
+def test_recorded_columns_equal_per_row_evaluation(case):
+    """Every column the recorder derives from its nodes equals, to the bit,
+    the row evaluated per node with scalar math."""
+    geom, model, masses, exact, theta0, termination = RECORDED_RUNS[case]
+    traj = integrate_decompression(geom, model, masses,
+                                   sim_options(step=1e-4, t_max=0.5, theta0=theta0),
+                                   exact_derivative=exact)
+    assert traj.termination == termination
+    dm = dynamics._LegDynamics(geom, model, masses, exact)
+    want = np.array([_observe(dm, model, *node) for node in zip(
+        traj.t.tolist(), traj.theta.tolist(), traj.theta_dot.tolist())]).T
+    for name, got, column in zip(dynamics.TRAJECTORY_CSV_HEADER, traj.columns(), want):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, column), name
+    if case == "slack_hard_stop":  # a step split at the slack point, slack rows after it
+        assert np.any(np.diff(traj.t[:-1]) < 0.99e-4)
+        assert np.any(traj.lam < 1.0)
+
+
 def test_exact_mode_energy_identity_undamped():
     """For the chain-rule derivative the released band energy equals the
     mechanical energy gain at every record (relative 1e-4)."""
@@ -397,8 +456,9 @@ def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
     monkeypatch.setattr(dynamics, "leg_forces", counted("leg_forces", dynamics.leg_forces))
     monkeypatch.setattr(dynamics, "_rk4", counted("rk4", dynamics._rk4))
     run = build_config(default_config())
-    _, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
-                               record=record)
+    traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
+                                  record=record)
     assert summary.termination == TAKE_OFF
     assert calls == {"leg_forces": 54146, "rk4": 13536}
     assert calls["leg_forces"] == 4 * calls["rk4"] + 2
+    assert len(traj) == (13530 if record else 2)

@@ -69,6 +69,9 @@ CASES = {
     "mobility": (["mobility", "--lock", "0:B"], None, 0),
     "thrust_profile": (["thrust-profile"], None, 0),
     "thrust_profile_linear": (["thrust-profile", "--n-samples", "200"], LINEAR, 0),
+    # The single-pin knee at the default --theta-min 0, where h = 0.
+    "thrust_profile_pin": (["thrust-profile", "--set", "geometry.p=0",
+                            "--set", "geometry.q=0"], None, 0),
 }
 
 

@@ -50,7 +50,8 @@ def designs(draw):
 
 
 def _outcome(design, record):
-    """(summary JSON, terminal row) of one run, or the error it raised.
+    """(summary JSON, terminal value of each column) of one run, or the
+    error it raised.
 
     json.dumps makes NaN fields (runs without take-off) compare equal.
     """
@@ -60,7 +61,8 @@ def _outcome(design, record):
                                       sim_options(step=1e-4, t_max=0.5), record=record)
     except ValueError as exc:  # both modes must raise the same error, if any
         return repr(exc), ()
-    return json.dumps(summary.to_dict(), sort_keys=True), list(traj.rows())[-1]
+    return (json.dumps(summary.to_dict(), sort_keys=True),
+            [column[-1] for column in traj.columns()])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -205,6 +205,17 @@ def test_profile_normalisation():
     assert np.all(prof.F_y >= 0.0)
 
 
+def test_pin_knee_profile_starts_at_zero_height():
+    """Without the p offset h = 0 at theta = 0: the profile starts there
+    with zero thrust under a taut band, and the closed form stays undefined."""
+    pin = pin_geometry()
+    prof = thrust_profile(pin, mooney_band(pin), LegAngleInterval(0.0, math.pi / 2), 500)
+    assert prof.h[0] == 0.0 and prof.F_y[0] == 0.0
+    assert prof.F_l[0] > 0.0 and prof.F_y[1] > 0.0
+    with pytest.raises(ValueError, match="zero linkage height"):
+        anchor_distance(pin, 0.0)
+
+
 # ── one kernel for the scalar API and the integrator ─────────────────────
 
 def test_scalar_api_and_integrator_agree_exactly():
@@ -216,10 +227,10 @@ def test_scalar_api_and_integrator_agree_exactly():
         for exact in (False, True):
             dm = _LegDynamics(GEOM, model, nominal_masses(), exact)
             for theta in thetas:
-                row = dm.observe(0.0, theta, 0.0, dm.derivatives(theta, 0.0))
-                assert stretch(GEOM, theta) == row[6]
-                assert drive_force(model, row[6]) == row[7]
-                assert thrust_force(GEOM, model, theta, exact=exact) == row[8]
+                _, _, _, _, _, _, _, lam, f_l, f_y, _ = dm.derivatives(theta, 0.0)
+                assert stretch(GEOM, theta) == lam
+                assert drive_force(model, lam) == f_l
+                assert thrust_force(GEOM, model, theta, exact=exact) == f_y
 
 
 def test_profile_and_trajectory_agree_exactly():
