@@ -34,13 +34,14 @@ from .dynamics import (
     JumpSummary,
     MassModel,
     SimOptions,
+    TakeOffState,
     Trajectory,
     ballistic,
     com_velocity,
     efficiency,
-    ground_reaction,
     integrate_decompression,
     simulate_jump,
+    solve_takeoff,
     takeoff_velocity,
     theta_ddot,
 )

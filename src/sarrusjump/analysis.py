@@ -10,13 +10,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (
+from .dynamics import (  # noqa: F401  perfbench traces analysis.simulate_jump
     TAKE_OFF,
     MassModel,
     SimOptions,
     _integrate_raw,
     _LegDynamics,
     simulate_jump,
+    solve_takeoff,
 )
 from .elastic import ElasticModel
 from .geometry import LegAngleInterval, LinkageGeometry, finite
@@ -285,7 +286,7 @@ def sensitivity(
 ) -> SensitivityCurve:
     """Efficiency of the undamped jump as one parameter scales from nominal.
 
-    Every point is a full simulation with all other parameters held at
+    Every point is a solve_takeoff with all other parameters held at
     their nominal values and mu_C forced to zero.  Individual points may
     fail (stiction, inversion, invalid value); they are marked in status,
     never raised.
@@ -299,14 +300,10 @@ def sensitivity(
         prop = float(prop)
         try:
             g_i, m_i, o_i, value = _scaled(geom, base_masses, options, parameter, prop)
-            _, summ = simulate_jump(g_i, model, m_i, o_i,
-                                    exact_derivative=exact_derivative, record=False)
-            if summ.termination == TAKE_OFF:
-                etas.append(summ.eta_pct)
-                statuses.append("ok")
-            else:
-                etas.append(math.nan)
-                statuses.append(summ.termination.lower())
+            state = solve_takeoff(g_i, model, m_i, o_i, exact_derivative)
+            etas.append(state.eta_pct)
+            statuses.append("ok" if state.termination == TAKE_OFF
+                            else state.termination.lower())
         except ValueError:
             value = math.nan
             etas.append(math.nan)
@@ -350,7 +347,8 @@ def identify_mu(
     rel_tol: float = 1e-6,
     exact_derivative: bool = False,
 ) -> float:
-    """Coulomb coefficient whose simulated take-off velocity hits target_v0.
+    """Coulomb coefficient whose take-off velocity (solve_takeoff) hits
+    target_v0.
 
     Bracketed root finding on [0, stiction threshold); relies on v0 being
     monotone non-increasing in mu_C.  Raises when the target lies outside
@@ -358,12 +356,8 @@ def identify_mu(
     """
 
     def v0_at(mu):
-        run_masses = replace(masses, mu_C=mu)
-        _, summ = simulate_jump(geom, model, run_masses, options,
-                                exact_derivative=exact_derivative, record=False)
-        if summ.termination != TAKE_OFF:
-            return math.nan
-        return summ.v0_mps
+        return solve_takeoff(geom, model, replace(masses, mu_C=mu), options,
+                             exact_derivative).v0_mps
 
     v0_free = v0_at(0.0)
     if math.isnan(v0_free):

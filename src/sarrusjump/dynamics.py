@@ -28,20 +28,33 @@ v0 = (m_T - m1) / m_T * hd(t_off), and the aerial phase is ballistic.
 
 Integration is fixed-step classical Runge-Kutta 4 with bisection refinement
 of the take-off and band slack/taut transitions.  sgn(0) = 0, plus an
-explicit static-friction check before motion starts.
+explicit static-friction check before motion starts; once the leg breaks
+free, friction slides against the net starting torque from the release
+instant on, so the first RK4 stage carries it too.
+
+solve_takeoff finds the same take-off without time stepping.  While
+theta_dot > 0 the Coulomb torque is constant, and the kinetic energy
+D(theta) td^2 / 8, D the denominator above, is a first integral:
+
+    td^2(theta) = 8 [W(theta) - (V(theta) - V(theta0)) - mu_C (theta - theta0)] / D(theta)
+
+with W the thrust work.  Take-off is then a root of F_N along theta, and
+t_off a quadrature; cases outside that picture fall back to the integrator.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .elastic import ElasticModel, stored_energy
-from .geometry import LinkageGeometry, finite_fields, stretch
-from .thrust import leg_forces
+from .geometry import SQRT3, LinkageGeometry, finite_fields, stretch
+from .thrust import leg_forces, leg_forces_array
 
 TAKE_OFF = "TakeOff"
 STICTION = "Stiction"
@@ -209,13 +222,14 @@ class _LegDynamics:
 
     derivatives() is the one evaluation of the model at a state: the RK4
     stages, the event tests (reaction) and the recorded trajectory all read
-    its tuple, so no state is passed through the kernel twice.  reaction,
-    kinetic and potential take floats or, for a whole trajectory at once,
-    arrays.
+    its tuple, so no state is passed through the kernel twice.
+    derivatives_array is its array twin, equal to it bit for bit, for the
+    take-off solver's scans.  reaction, inertia, kinetic and potential take
+    floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "half_I", "geom", "tension", "energy", "exact")
+                 "I4", "half_I", "geom", "model", "tension", "energy", "exact")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel,
                  masses: MassModel, exact: bool = False):
@@ -230,6 +244,7 @@ class _LegDynamics:
         self.I4 = 4.0 * (masses.I1 + masses.I2)
         self.half_I = 0.5 * (masses.I1 + masses.I2)
         self.geom = geom
+        self.model = model
         self.tension = model.tension
         self.energy = model.energy
         self.exact = exact
@@ -252,6 +267,35 @@ class _LegDynamics:
         h_dot = 2.0 * self.a * co * theta_dot
         return (theta_dot, tdd, self.mu_C * abs(theta_dot), f_y * h_dot,
                 s, co, h, lam, f_l, f_y, h_dot)
+
+    def derivatives_array(self, theta, theta_dot):
+        """derivatives() over arrays of states: the same arithmetic through
+        leg_forces_array and inertia, so every column equals the scalar
+        tuple's to the bit."""
+        s, co, h, lam, f_l, f_y = leg_forces_array(self.geom, self.model, theta, self.exact)
+        sin2 = 2.0 * s * co
+        num = (
+            4.0 * self.M1 * self.a2 * sin2 * theta_dot * theta_dot
+            - 2.0 * self.a * co * (self.g * self.M3 - 4.0 * f_y)
+            - 4.0 * self.mu_C * np.sign(theta_dot)
+        )
+        tdd = num / self.inertia(s, co)
+        h_dot = 2.0 * self.a * co * theta_dot
+        return (theta_dot, tdd, self.mu_C * np.abs(theta_dot), f_y * h_dot,
+                s, co, h, lam, f_l, f_y, h_dot)
+
+    def inertia(self, s, co):
+        """D(theta) = a^2 (4 M1 cos(2 theta) + M2) + 4 (I1 + I2) from sin and
+        cos of theta: the denominator of the equation of motion, written as
+        derivatives() writes it."""
+        return self.a2 * (4.0 * self.M1 * (co * co - s * s) + self.M2) + self.I4
+
+    def release(self, d):
+        """The derivatives() tuple d at rest, with the Coulomb torque
+        sliding against the net starting torque instead of sgn(0) = 0."""
+        direction = 1.0 if d[1] > 0.0 else -1.0
+        tdd = d[1] - 4.0 * self.mu_C * direction / self.inertia(d[4], d[5])
+        return (d[0], tdd, *d[2:])
 
     def reaction(self, d):
         """(h_ddot, F_N) from one derivatives() tuple, or from its columns
@@ -323,12 +367,6 @@ def theta_ddot(geom: LinkageGeometry, model: ElasticModel, masses: MassModel,
     return dm.derivatives(theta, theta_dot)[1]
 
 
-def ground_reaction(masses: MassModel, h_ddot: float) -> float:
-    """Ground reaction force F_N = (m_T - m1) hdd + (m_T - m1) g + m1 g."""
-    mt, m1, g = masses.m_T, masses.m1, masses.g
-    return (mt - m1) * h_ddot + (mt - m1) * g + m1 * g
-
-
 def takeoff_velocity(masses: MassModel, h_dot_off: float) -> float:
     """Centre-of-mass speed after momentum sharing with the foot."""
     if h_dot_off < 0.0:
@@ -390,9 +428,17 @@ def integrate_decompression(
     dt_nom = options.step
     tol_t = options.event_tolerance
 
+    d = dm.derivatives(th0, 0.0)
+    if dm.static_margin(th0) <= 0.0:
+        return _build_trajectory(
+            dm, [0.0], [th0, *d], STICTION,
+            "drive torque at rest does not exceed the Coulomb threshold",
+            None, 0.0, 0.0,
+        )
     # d is the one derivatives() evaluation at the current state y: it is
     # the next step's k1 and feeds the event tests and the recorded node.
-    d = dm.derivatives(th0, 0.0)
+    # The leg breaks free, so friction slides from the first stage on.
+    d = dm.release(d)
     # The recorded nodes: their times, and theta then d of each, back to
     # back in one flat list of floats, so that no per-node container
     # outlives its step for the garbage collector to traverse.
@@ -401,13 +447,6 @@ def integrate_decompression(
     termination = HORIZON_EXCEEDED
     detail = "time horizon exceeded before take-off"
     t_off = None
-
-    if dm.static_margin(th0) <= 0.0:
-        return _build_trajectory(
-            dm, ts, nodes, STICTION,
-            "drive torque at rest does not exceed the Coulomb threshold",
-            None, 0.0, 0.0,
-        )
 
     t = 0.0
     y = (th0, 0.0, 0.0, 0.0)  # theta, theta_dot, friction work, thrust work
@@ -556,6 +595,178 @@ def simulate_jump(
         m_T_kg=masses.m_T,
     )
     return traj, summary
+
+
+class TakeOffState(NamedTuple):
+    """Take-off of one design as solve_takeoff finds it.
+
+    termination as in JumpSummary; t_off_s, v0_mps and eta_pct are NaN
+    unless it is TakeOff.  solver names the path that decided it:
+    "first_integral", or "rk4" where it fell back to simulate_jump.  A
+    NamedTuple, not a dataclass: it costs the package import a fifth as
+    much.
+    """
+
+    termination: str
+    t_off_s: float
+    v0_mps: float
+    eta_pct: float
+    solver: str
+
+
+# Chebyshev points per piece, and the pieces of [0, s_slack] and of the
+# slack band after it: equal pieces above s_slack / _BULK_PIECES, halving
+# ones below, down to s_slack * 2**-(_GRADED_PIECES + 3), where the
+# kinetic energy is Q(theta0) s^2 to the last bit.  The halving pieces keep
+# T and t_off accurate when a release barely breaks stiction.
+_PIECE_NODES = 24
+_BULK_PIECES = 8
+_GRADED_PIECES = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(n: int):
+    """(x, to_coefficients, at_nodes) for n first-kind Chebyshev points x
+    on [-1, 1], ascending: the matrix from values at x to the coefficients
+    of the degree n-1 interpolant, and T_0..T_n at x, for the n + 1
+    coefficients of its integral."""
+    x = -np.cos((np.arange(n) + 0.5) * (math.pi / n))
+    at_nodes = np.cos(np.multiply.outer(np.arange(n + 1), np.arccos(x)))
+    to_coefficients = (2.0 / n) * at_nodes[:n]
+    to_coefficients[0] *= 0.5
+    return x, to_coefficients, at_nodes
+
+
+def _integral(values, half):
+    """Chebyshev coefficients of the integral, from the left end of each
+    piece, of the interpolant through values (one row per piece, at the
+    _chebyshev points) on pieces of half-width half: Clenshaw-Curtis."""
+    n = values.shape[-1]
+    c = np.zeros(values.shape[:-1] + (n + 2,))
+    c[..., :n] = np.einsum("...k,jk->...j", values, _chebyshev(n)[1])
+    c[..., 0] *= 2.0
+    out = np.zeros(values.shape[:-1] + (n + 1,))
+    out[..., 1:] = (c[..., :n] - c[..., 2:]) / (2.0 * np.arange(1, n + 1))
+    out[..., 0] = -(out[..., 1:] * (-1.0) ** np.arange(1, n + 1)).sum(-1)  # 0 at x = -1
+    return out * np.asarray(half)[..., None]
+
+
+def _chebyshev_value(coefficients, x):
+    """sum_j coefficients[j] T_j(x), for x in [-1, 1]."""
+    angle = np.arccos(np.clip(x, -1.0, 1.0))
+    return (np.cos(np.multiply.outer(angle, np.arange(len(coefficients)))) * coefficients).sum(-1)
+
+
+def solve_takeoff(
+    geom: LinkageGeometry,
+    model: ElasticModel,
+    masses: MassModel,
+    options: SimOptions,
+    exact_derivative: bool = False,
+) -> TakeOffState:
+    """Take-off of simulate_jump(record=False) from the first integral,
+    without time stepping.
+
+    With theta = theta0 + s^2 the kinetic energy T(s) is the integral of
+    2 s Q(theta), Q = D(theta) tdd(theta, 0) / 4 - mu_C the net torque from
+    rest, piecewise Chebyshev in s with a piece boundary at the band slack
+    point.  Integrating Q rather than forming W - (V - V0) - mu_C s^2 keeps
+    T accurate near the stiction threshold, where those three terms cancel
+    to the margin.  F_N is scanned at the Chebyshev points and its first zero
+    refined with Brent's method; t_off = integral of 2 s / theta_dot ds by
+    the same pieces, and t_off > t_max is HorizonExceeded.  Every other
+    outcome falls back to simulate_jump, so the status is always the
+    integrator's: a release that sticks or starts towards -theta, T <= 0
+    before the zero (reversal), a zero with the head falling, no zero
+    before pi/2, and a band still taut at pi/2.
+    """
+    dm = _LegDynamics(geom, model, masses, exact_derivative)
+    e_p0 = stored_energy(model, stretch(geom, options.theta0))
+    found = _first_integral_takeoff(dm, options)
+    if found is None:
+        _, summary = simulate_jump(geom, model, masses, options,
+                                   exact_derivative=exact_derivative, record=False)
+        return TakeOffState(summary.termination, summary.t_off_s, summary.v0_mps,
+                            summary.eta_pct, "rk4")
+    t_off, h_dot_off = found
+    if t_off > options.t_max:
+        return TakeOffState(HORIZON_EXCEEDED, math.nan, math.nan, math.nan,
+                            "first_integral")
+    v0 = takeoff_velocity(masses, h_dot_off)
+    eta = efficiency(0.5 * masses.m_T * v0 * v0, e_p0)
+    return TakeOffState(TAKE_OFF, t_off, v0, eta, "first_integral")
+
+
+def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions):
+    """(t_off, h_dot at take-off) on the first integral, or None where
+    solve_takeoff falls back to the integrator."""
+    from .analysis import _brentq  # analysis imports this module
+
+    th0 = options.theta0
+    geom = dm.geom
+    if dm.static_margin(th0) <= 0.0 or dm.derivatives(th0, 0.0)[1] <= 0.0:
+        return None
+    cos_slack = ((geom.l0 - geom.c) / SQRT3 - geom.q) / geom.a
+    if not 0.0 < cos_slack < math.cos(th0):
+        return None  # taut at pi/2, or slack at release
+    s_slack = math.sqrt(math.acos(cos_slack) - th0)
+    s_end = math.sqrt(0.5 * math.pi - th0)
+    bulk = s_slack / _BULK_PIECES
+    edges = np.concatenate([
+        [0.0], bulk * 0.5 ** np.arange(_GRADED_PIECES, 0, -1),
+        bulk * np.arange(1, _BULK_PIECES + 1),
+        np.linspace(s_slack, s_end, 1 + math.ceil((s_end - s_slack) / bulk))[1:],
+    ])
+    x, _, at_nodes = _chebyshev(_PIECE_NODES)
+    lo, half = edges[:-1], 0.5 * np.diff(edges)
+    s = lo[:, None] + half[:, None] * (x + 1.0)
+    theta = th0 + s * s
+    rest = dm.derivatives_array(theta, np.zeros_like(theta))
+    inertia = dm.inertia(rest[4], rest[5])
+    energy = _integral(2.0 * s * (0.25 * inertia * rest[1] - dm.mu_C), half)
+    start = np.concatenate([[0.0], np.cumsum(energy.sum(-1))[:-1]])
+    kinetic = start[:, None] + np.einsum("pj,jk->pk", energy, at_nodes)
+    theta_dot = np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
+    f_n = dm.reaction(dm.derivatives_array(theta, theta_dot))[1].ravel()
+    below = np.flatnonzero(f_n <= 0.0)
+    if below.size == 0 or below[0] == 0 or kinetic.ravel()[:below[0] + 1].min() <= 0.0:
+        return None
+    s_flat, breaks = s.ravel(), edges.tolist()
+
+    def kinetic_at(k, si):
+        """T at si, a float or an array inside piece k."""
+        return start[k] + _chebyshev_value(energy[k], (si - lo[k]) / half[k] - 1.0)
+
+    def state(si):
+        """derivatives() on the first integral at si, or NaNs where T <= 0."""
+        t_kin = kinetic_at(bisect.bisect_right(breaks, si) - 1, si)
+        if not t_kin > 0.0:
+            return (math.nan,) * 11
+        th = th0 + si * si
+        return dm.derivatives(th, math.sqrt(8.0 * t_kin / dm.inertia(math.sin(th), math.cos(th))))
+
+    try:
+        s_off = _brentq(lambda si: dm.reaction(state(si))[1],
+                        s_flat[below[0] - 1], s_flat[below[0]])
+    except ValueError:  # T reached 0 inside the bracket
+        return None
+    d_off = state(s_off)
+    if not d_off[10] > 0.0:
+        return None
+
+    # t_off: the whole pieces below s_off from their nodes, then the part
+    # of the piece holding s_off on points of its own.
+    k = bisect.bisect_right(breaks, s_off) - 1
+    t_off = float(_integral(2.0 * s[:k] / theta_dot[:k], half[:k]).sum())
+    part = 0.5 * (s_off - lo[k])
+    sp = lo[k] + part * (x + 1.0)
+    t_kin = kinetic_at(k, sp)
+    if not t_kin.min() > 0.0:
+        return None
+    thp = th0 + sp * sp
+    speed = np.sqrt(8.0 * t_kin / dm.inertia(np.sin(thp), np.cos(thp)))
+    t_off += float(_integral(2.0 * sp / speed, part).sum())
+    return t_off, d_off[10]
 
 
 def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,

@@ -20,6 +20,7 @@ from sarrusjump import (
     phase_portrait,
     sensitivity,
     simulate_jump,
+    solve_takeoff,
     stiction_threshold,
     thrust_force,
 )
@@ -212,13 +213,15 @@ OPTS_SWEEP = sim_options(step=5e-5)
 
 
 def test_sensitivity_nominal_point_reproduces_simulation():
-    # Proportion 1 must hit the exact nominal code path for every swept
-    # parameter; theta0 is excluded because it sweeps an absolute range.
-    _, summary = simulate_jump(GEOM, MR, M_FREE, OPTS_SWEEP, record=False)
+    # Proportion 1 must hit the exact nominal code path, the take-off
+    # solver of the nominal design, for every swept parameter; theta0 is
+    # excluded because it sweeps an absolute range.
+    nominal = solve_takeoff(GEOM, MR, M_FREE, OPTS_SWEEP)
+    assert nominal.solver == "first_integral"
     for name in ("g", "m1", "m2", "m3", "m4", "m5", "I1", "I2", "a", "p", "q"):
         curve = sensitivity(GEOM, MR, M_FREE, name, [1.0], OPTS_SWEEP)
         assert curve.status == ["ok"], name
-        assert curve.eta[0] == summary.eta_pct, name
+        assert curve.eta[0] == nominal.eta_pct, name
 
 
 def test_sensitivity_gravity_trend():

@@ -6,9 +6,15 @@ Groups:
   3. The governing equation at rest and at equilibrium
   4. Full decompression runs: events, trajectory consistency, audits
   5. Integrator quality: step convergence, damping monotonicity
+  6. The first-integral take-off solver: agreement with the integrator,
+     fallbacks, and the array twin of the kernel it scans with
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +34,9 @@ from sarrusjump import (
     default_config,
     dynamics,
     efficiency,
-    ground_reaction,
     integrate_decompression,
     simulate_jump,
+    solve_takeoff,
     stiction_threshold,
     stretch,
     stored_energy,
@@ -89,20 +95,31 @@ def test_sim_options_validation():
 
 # ── group 2: point operations ─────────────────────────────────────────────
 
+def _reaction_at_rest(masses, h_ddot, theta=0.3):
+    """_LegDynamics.reaction, the integrator's F_N, at rest at theta with
+    the leg accelerating so that the head's acceleration is h_ddot."""
+    dm = dynamics._LegDynamics(GEOM, MR, masses)
+    s, co = math.sin(theta), math.cos(theta)
+    tdd = h_ddot / (2.0 * GEOM.a * co)  # h_ddot = 2 a cos(theta) tdd at rest
+    return dm.reaction((0.0, tdd, 0.0, 0.0, s, co))
+
+
 def test_ground_reaction_static_weight():
-    assert ground_reaction(M_FREE, 0.0) == pytest.approx(M_FREE.m_T * 9.81, rel=1e-12)
+    assert _reaction_at_rest(M_FREE, 0.0) == (0.0, pytest.approx(M_FREE.m_T * 9.81, rel=1e-12))
 
 
 def test_ground_reaction_zero_crossing_acceleration():
     # F_N = 0 at hdd = -g m_T / (m_T - m1)
     hdd = -9.81 * M_FREE.m_T / (M_FREE.m_T - M_FREE.m1)
     assert hdd == pytest.approx(-10.993, abs=1e-3)
-    assert ground_reaction(M_FREE, hdd) == pytest.approx(0.0, abs=1e-12)
+    h_dd, f_n = _reaction_at_rest(M_FREE, hdd)
+    assert h_dd == pytest.approx(hdd, rel=1e-12)
+    assert f_n == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ground_reaction_massless_foot_free_fall():
     m = nominal_masses(m1=0.0)
-    assert ground_reaction(m, -m.g) == pytest.approx(0.0, abs=1e-15)
+    assert _reaction_at_rest(m, -m.g)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_takeoff_velocity_ratios():
@@ -311,12 +328,15 @@ def test_sparse_recording():
     assert summary.termination == TAKE_OFF
 
 
-def _observe(dm, model, t, theta, theta_dot):
+def _observe(dm, model, t, theta, theta_dot, released=True):
     """One trajectory row evaluated per node with scalar math, as the
     recorder did before it derived whole columns: the kernel at (theta,
-    theta_dot), the reaction, the energies with math.cos and math.sin, and
+    theta_dot), with friction sliding at the release node of a leg that
+    breaks free, the reaction, the energies with math.cos and math.sin, and
     the slack clamp as a branch."""
     d = dm.derivatives(theta, theta_dot)
+    if t == 0.0 and released:
+        d = dm.release(d)
     _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
     h_dd, f_n = dm.reaction(d)
     td2 = theta_dot * theta_dot
@@ -359,7 +379,8 @@ def test_recorded_columns_equal_per_row_evaluation(case):
                                    exact_derivative=exact)
     assert traj.termination == termination
     dm = dynamics._LegDynamics(geom, model, masses, exact)
-    want = np.array([_observe(dm, model, *node) for node in zip(
+    released = case != "stiction_at_rest"
+    want = np.array([_observe(dm, model, *node, released) for node in zip(
         traj.t.tolist(), traj.theta.tolist(), traj.theta_dot.tolist())]).T
     for name, got, column in zip(dynamics.TRAJECTORY_CSV_HEADER, traj.columns(), want):
         assert got.dtype == np.float64
@@ -428,6 +449,37 @@ def test_step_halving_shows_fourth_order():
     assert 8.0 < e_mid / e_fine < 40.0
 
 
+def test_damped_step_halving_shows_fourth_order():
+    """Friction slides from the release instant, so the first RK4 stage
+    carries it and damped runs converge at fourth order in t_off and v0;
+    with sgn(0) = 0 there the start-up error made them first order."""
+    opts = lambda s: sim_options(step=s, event_tolerance=1e-12)
+    steps = (6.4e-4, 3.2e-4, 1.6e-4, 8e-5, 4e-5)
+    runs = {s: simulate_jump(GEOM, MR, M_DAMPED, opts(s), record=False)[1] for s in steps}
+    for field in ("t_off_s", "v0_mps"):
+        value = {s: getattr(summary, field) for s, summary in runs.items()}
+        reference = value[4e-5] + (value[4e-5] - value[8e-5]) / 15.0  # Richardson
+        e_coarse, e_mid, e_fine = (abs(value[s] - reference) for s in steps[:3])
+        assert 8.0 < e_coarse / e_mid < 40.0, field
+        assert 8.0 < e_mid / e_fine < 40.0, field
+
+
+def test_release_friction_opposes_the_starting_torque():
+    """At release friction slides against the net starting torque, either
+    way: the squat release moves towards +theta, the nearly extended one
+    towards -theta.  Without damping the release state is the rest state."""
+    dm = dynamics._LegDynamics(GEOM, MR, nominal_masses(mu_C=1e-3))
+    for theta0, direction in ((0.066, 1.0), (1.45, -1.0)):
+        rest = dm.derivatives(theta0, 0.0)
+        released = dm.release(rest)
+        assert stiction_threshold(GEOM, MR, M_FREE, theta0) > 1e-3
+        assert math.copysign(1.0, rest[1]) == direction
+        assert 0.0 < direction * released[1] < direction * rest[1]
+        assert released[2:] == rest[2:]
+    free = dynamics._LegDynamics(GEOM, MR, M_FREE)
+    assert free.release(free.derivatives(0.066, 0.0)) == free.derivatives(0.066, 0.0)
+
+
 def test_take_off_velocity_monotone_in_damping():
     mus = np.linspace(0.0, 0.024, 10)
     v0s = []
@@ -459,6 +511,84 @@ def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
     traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
                                   record=record)
     assert summary.termination == TAKE_OFF
-    assert calls == {"leg_forces": 54146, "rk4": 13536}
+    assert calls == {"leg_forces": 54150, "rk4": 13537}
     assert calls["leg_forces"] == 4 * calls["rk4"] + 2
-    assert len(traj) == (13530 if record else 2)
+    assert len(traj) == (13531 if record else 2)
+
+
+# ── group 6: the first-integral take-off solver ───────────────────────────
+
+TIGHT = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.5)
+BAND_LAWS = {"mooney": MR, "gaussian": gaussian_band(),
+             "linear": LinearSpring(k=36.0, l0=GEOM.l0)}
+
+
+@pytest.mark.parametrize("mu_C", (0.0, MU_IDENTIFIED))
+@pytest.mark.parametrize("law", sorted(BAND_LAWS))
+def test_solver_lands_on_the_integrator(law, mu_C):
+    """The first integral and fine-step RK4 agree on v0 and t_off to 1e-9
+    relative, damped as well as undamped, for each band law."""
+    masses = nominal_masses(mu_C=mu_C)
+    state = solve_takeoff(GEOM, BAND_LAWS[law], masses, TIGHT)
+    _, summary = simulate_jump(GEOM, BAND_LAWS[law], masses, TIGHT, record=False)
+    assert state.solver == "first_integral"
+    assert state.termination == summary.termination == TAKE_OFF
+    assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
+    assert state.t_off_s == pytest.approx(summary.t_off_s, rel=1e-9)
+    assert state.eta_pct == pytest.approx(summary.eta_pct, rel=2e-9)
+
+
+# name -> (band law, masses, exact derivative, theta0, t_max, termination,
+# solver): the solver decides a horizon it can see past; the integrator
+# decides stiction, a release towards -theta, and a leg that reaches the
+# pi/2 stop on the ground.
+SOLVER_CASES = {
+    "horizon": (MR, M_DAMPED, False, 0.066, 0.05, HORIZON_EXCEEDED, "first_integral"),
+    "stiction": (MR, nominal_masses(mu_C=1.0), False, 0.066, 0.5, STICTION, "rk4"),
+    "restuck": (MR, nominal_masses(mu_C=1e-3), False, 1.45, 0.5, STICTION, "rk4"),
+    "knee_inversion": (MR, M_FREE, True, 0.066, 0.5, KNEE_INVERSION, "rk4"),
+    "hard_stop": (MR, nominal_masses(m1=50.0), False, 0.066, 0.5, HORIZON_EXCEEDED, "rk4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solver_falls_back_outside_the_first_integral(case):
+    law, masses, exact, theta0, t_max, termination, solver = SOLVER_CASES[case]
+    opts = sim_options(step=1e-4, t_max=t_max, theta0=theta0)
+    state = solve_takeoff(GEOM, law, masses, opts, exact)
+    _, summary = simulate_jump(GEOM, law, masses, opts, exact, record=False)
+    assert (state.termination, state.solver) == (termination, solver)
+    assert summary.termination == termination
+    assert math.isnan(state.v0_mps) and math.isnan(state.eta_pct)
+
+
+@pytest.mark.parametrize("exact", (False, True))
+@pytest.mark.parametrize("law", sorted(BAND_LAWS))
+def test_derivatives_array_equals_scalar_kernel(law, exact):
+    """derivatives_array, and with it inertia, the D(theta) the solver
+    divides by, returns the scalar tuple to the bit, at rest and moving
+    either way, damped, over the whole range and past both ends."""
+    dm = dynamics._LegDynamics(GEOM, BAND_LAWS[law], M_DAMPED, exact)
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)
+    theta_dot = rng.uniform(-60.0, 60.0, theta.size)
+    theta_dot[::4] = 0.0
+    got = dm.derivatives_array(theta, theta_dot)
+    want = np.array([dm.derivatives(th, om)
+                     for th, om in zip(theta.tolist(), theta_dot.tolist())]).T
+    for column, (array, scalar) in enumerate(zip(got, want)):
+        assert array.dtype == np.float64
+        assert np.array_equal(array, scalar), column
+
+
+def test_package_import_leaves_numpy_polynomial_out():
+    """The solver's Chebyshev steps are written out; solving a take-off
+    loads no numpy.polynomial."""
+    code = ("import sys, sarrusjump; from sarrusjump.config import build_config, "
+            "default_config; run = build_config(default_config()); "
+            "sarrusjump.solve_takeoff(run.geometry, run.elastic, run.masses, run.sim); "
+            "print('numpy.polynomial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -8,14 +8,17 @@ suite stays deterministic, and no example database is written.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarrusjump import (
+    TAKE_OFF,
     GaussianBand,
     LinearSpring,
     MooneyRivlinBand,
     simulate_jump,
+    solve_takeoff,
 )
 
 from params import nominal_geometry, nominal_masses, sim_options
@@ -73,3 +76,24 @@ def test_sparse_and_recorded_runs_agree(design):
     sparse_summary, sparse_row = _outcome(design, record=False)
     assert full_summary == sparse_summary
     assert np.array_equal(full_row, sparse_row, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(designs(), st.booleans())
+def test_takeoff_solver_agrees_with_the_integrator(design, exact_derivative):
+    """solve_takeoff reports the integrator's status for every draw, in both
+    slope conventions; where both take off, v0 and t_off agree to 1e-9
+    relative with RK4 at step 1e-5 and event tolerance 1e-12."""
+    geom, law, masses = design
+    opts = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.5)
+    try:
+        _, summary = simulate_jump(geom, law, masses, opts, exact_derivative, record=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            solve_takeoff(geom, law, masses, opts, exact_derivative)
+        return
+    state = solve_takeoff(geom, law, masses, opts, exact_derivative)
+    assert state.termination == summary.termination
+    if summary.termination == TAKE_OFF:
+        assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
+        assert state.t_off_s == pytest.approx(summary.t_off_s, rel=1e-9)
