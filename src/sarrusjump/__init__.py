@@ -37,13 +37,11 @@ from .dynamics import (
     TakeOffState,
     Trajectory,
     ballistic,
-    com_velocity,
     efficiency,
     integrate_decompression,
     simulate_jump,
     solve_takeoff,
     takeoff_velocity,
-    theta_ddot,
 )
 from .elastic import (
     ElasticModel,

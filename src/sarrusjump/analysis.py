@@ -115,9 +115,9 @@ def find_equilibria(
 ) -> list[Equilibrium]:
     """Equilibria of the undamped dynamics on the interval.
 
-    Roots of cos(theta) (g M3 - 4 F_y(theta)) are located by a sign scan
-    over n_scan points (array kernel) followed by Brent refinement (scalar
-    kernel), then classified through the Jacobian of the (theta, theta_dot)
+    Roots of the net torque from rest, _LegDynamics.torque, are located by
+    a sign scan over n_scan points (array kernel) followed by Brent
+    refinement (scalar kernel), then classified through the Jacobian of the (theta, theta_dot)
     system: a real +/- eigenvalue pair is a saddle, an imaginary pair a
     center.  Friction is ignored here because the Coulomb term is not
     differentiable at rest.
@@ -126,11 +126,11 @@ def find_equilibria(
 
     def torque(th):
         _, co, _, _, _, f_y = leg_forces(geom, model.tension, th, exact_derivative)
-        return co * (dm.g * dm.M3 - 4.0 * f_y)
+        return dm.torque(co, f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
     _, co, _, _, _, f_y = leg_forces_array(geom, model, grid, exact_derivative)
-    values = co * (dm.g * dm.M3 - 4.0 * f_y)  # torque(grid), to the bit
+    values = dm.torque(co, f_y)  # torque(grid), to the bit
     scale = float(np.max(np.abs(values))) or 1.0
 
     roots = [float(grid[i]) for i in np.flatnonzero(values == 0.0)]
@@ -335,7 +335,7 @@ def stiction_threshold(
 ) -> float:
     """Largest mu_C that still lets decompression start from rest at theta0."""
     dm = _LegDynamics(geom, model, _undamped(masses), exact_derivative)
-    return dm.static_margin(theta0)
+    return dm.static_margin(dm.derivatives(theta0, 0.0))
 
 
 def identify_mu(

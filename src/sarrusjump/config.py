@@ -66,7 +66,6 @@ class RunConfig:
     masses: MassModel
     elastic: ElasticModel
     sim: SimOptions
-    raw: dict
 
 
 def default_config() -> dict:
@@ -166,8 +165,7 @@ def build_config(cfg: dict) -> RunConfig:
     elastic = _build("elastic", law,
                      {**shared, **{key: elastic_cfg[key] for key in keys}})
 
-    return RunConfig(geometry=geometry, masses=masses, elastic=elastic,
-                     sim=sim, raw=copy.deepcopy(cfg))
+    return RunConfig(geometry=geometry, masses=masses, elastic=elastic, sim=sim)
 
 
 def _build(section: str, cls, values: dict):

@@ -10,8 +10,9 @@ angle theta.  With the lumped mass coefficients
 
 the governing equation is
 
-    tdd = [4 M1 a^2 sin(2 th) td^2 - 2 a cos(th) (g M3 - 4 F_y)
-           - 4 mu_C sgn(td)] / [a^2 (4 M1 cos(2 th) + M2) + 4 (I1 + I2)]
+    tdd = [8 M1 a^2 sin(th) cos(th) td^2 - 2 a cos(th) (g M3 - 4 F_y)
+           - 4 mu_C sgn(td)] / D(th)
+    D(th) = a^2 (4 M1 (cos(th)^2 - sin(th)^2) + M2) + 4 (I1 + I2)
 
 where F_y is the vertical thrust of the band drive.  The foot mass m1 stays
 on the ground throughout decompression; take-off is the first zero, with
@@ -34,7 +35,7 @@ instant on, so the first RK4 stage carries it too.
 
 solve_takeoff finds the same take-off without time stepping.  While
 theta_dot > 0 the Coulomb torque is constant, and the kinetic energy
-D(theta) td^2 / 8, D the denominator above, is a first integral:
+D(theta) td^2 / 8 is a first integral:
 
     td^2(theta) = 8 [W(theta) - (V(theta) - V(theta0)) - mu_C (theta - theta0)] / D(theta)
 
@@ -52,8 +53,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .elastic import ElasticModel, stored_energy
-from .geometry import SQRT3, LinkageGeometry, finite_fields, stretch
+from .elastic import ElasticModel
+from .geometry import SQRT3, LinkageGeometry, finite_fields
 from .thrust import leg_forces, leg_forces_array
 
 TAKE_OFF = "TakeOff"
@@ -224,12 +225,13 @@ class _LegDynamics:
     stages, the event tests (reaction) and the recorded trajectory all read
     its tuple, so no state is passed through the kernel twice.
     derivatives_array is its array twin, equal to it bit for bit, for the
-    take-off solver's scans.  reaction, inertia, kinetic and potential take
-    floats or arrays.
+    take-off solver's scans.  inertia and torque are the one expression of
+    the mass matrix D(theta) and of the net torque from rest; reaction,
+    inertia, torque, kinetic and potential take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "half_I", "geom", "model", "tension", "energy", "exact")
+                 "I4", "geom", "model", "tension", "energy", "exact")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel,
                  masses: MassModel, exact: bool = False):
@@ -242,7 +244,6 @@ class _LegDynamics:
         self.mu_C = masses.mu_C
         self.M1, self.M2, self.M3, self.M4 = masses.mass_coefficients()
         self.I4 = 4.0 * (masses.I1 + masses.I2)
-        self.half_I = 0.5 * (masses.I1 + masses.I2)
         self.geom = geom
         self.model = model
         self.tension = model.tension
@@ -285,9 +286,8 @@ class _LegDynamics:
                 s, co, h, lam, f_l, f_y, h_dot)
 
     def inertia(self, s, co):
-        """D(theta) = a^2 (4 M1 cos(2 theta) + M2) + 4 (I1 + I2) from sin and
-        cos of theta: the denominator of the equation of motion, written as
-        derivatives() writes it."""
+        """D(theta), the denominator of the equation of motion, from sin and
+        cos of theta; derivatives() writes the same expression inline."""
         return self.a2 * (4.0 * self.M1 * (co * co - s * s) + self.M2) + self.I4
 
     def release(self, d):
@@ -304,20 +304,24 @@ class _LegDynamics:
         h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
         return h_dd, (self.m_T - self.m1) * h_dd + self.m_T * self.g
 
-    def kinetic(self, theta, theta_dot):
-        cos2 = np.cos(2.0 * theta)
-        td2 = theta_dot * theta_dot
-        return (self.a2 / 8.0 * (4.0 * self.M1 * cos2 + self.M2) * td2
-                + self.half_I * td2)
+    def torque(self, co, f_y):
+        """Net torque from rest without friction, D(theta) tdd(theta, 0) / 4,
+        from cos(theta) and F_y: a quarter of the theta_dot = 0 numerator of
+        derivatives(), to the bit."""
+        return 0.5 * self.a * co * (4.0 * f_y - self.g * self.M3)
 
-    def potential(self, theta):
-        return (0.5 * self.a * self.g * self.M3 * np.sin(theta)
-                + self.p * self.g * self.M4)
+    def kinetic(self, s, co, theta_dot):
+        """D(theta) theta_dot^2 / 8 from sin and cos of theta."""
+        return self.inertia(s, co) * theta_dot * theta_dot / 8.0
 
-    def static_margin(self, theta):
-        """Net starting torque minus the Coulomb threshold; <= 0 means stuck."""
-        _, co, _, _, _, f_y = leg_forces(self.geom, self.tension, theta, self.exact)
-        return 2.0 * self.a * co * abs(self.g * self.M3 / 4.0 - f_y) - self.mu_C
+    def potential(self, s):
+        """Gravity potential from sin(theta)."""
+        return 0.5 * self.a * self.g * self.M3 * s + self.p * self.g * self.M4
+
+    def static_margin(self, d):
+        """Net starting torque minus the Coulomb threshold at the state of
+        the derivatives() tuple d; <= 0 means stuck."""
+        return abs(self.torque(d[5], d[9])) - self.mu_C
 
 
 def _rk4(dm: _LegDynamics, y, k1, dt):
@@ -358,33 +362,11 @@ def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t, max_iter=90):
     return hi, y_hi, d_hi
 
 
-def theta_ddot(geom: LinkageGeometry, model: ElasticModel, masses: MassModel,
-               theta: float, theta_dot: float, exact_derivative: bool = False) -> float:
-    """Angular acceleration of the leg at the given state."""
-    if not (0.0 < theta <= math.pi / 2):
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    dm = _LegDynamics(geom, model, masses, exact_derivative)
-    return dm.derivatives(theta, theta_dot)[1]
-
-
 def takeoff_velocity(masses: MassModel, h_dot_off: float) -> float:
     """Centre-of-mass speed after momentum sharing with the foot."""
     if h_dot_off < 0.0:
         raise ValueError(f"take-off speed must be non-negative, got {h_dot_off}")
     return (masses.m_T - masses.m1) / masses.m_T * h_dot_off
-
-
-def com_velocity(masses: MassModel, a: float, theta: float, theta_dot: float) -> float:
-    """Diagnostic: vertical velocity of the moving-parts centre of mass.
-
-    Computed from the individual link velocities; differs from the
-    momentum-ratio convention applied to the head-plate speed.
-    """
-    _, _, M3, _ = masses.mass_coefficients()
-    moving = masses.m_T - masses.m1
-    if moving <= 0.0:
-        raise ValueError("no moving mass")
-    return 0.5 * M3 * a * math.cos(theta) * theta_dot / moving
 
 
 def ballistic(v0: float, g: float) -> tuple[float, float]:
@@ -429,7 +411,7 @@ def integrate_decompression(
     tol_t = options.event_tolerance
 
     d = dm.derivatives(th0, 0.0)
-    if dm.static_margin(th0) <= 0.0:
+    if dm.static_margin(d) <= 0.0:
         return _build_trajectory(
             dm, [0.0], [th0, *d], STICTION,
             "drive torque at rest does not exceed the Coulomb threshold",
@@ -501,7 +483,7 @@ def integrate_decompression(
             termination = HORIZON_EXCEEDED
             detail = "leg reached the pi/2 hard stop before take-off"
             break
-        if y[1] < 0.0 and dm.static_margin(y[0]) <= 0.0:
+        if y[1] < 0.0 and dm.static_margin(d) <= 0.0:
             termination = STICTION
             detail = "decompression reversed and re-stuck below the Coulomb threshold"
             break
@@ -522,12 +504,12 @@ def _build_trajectory(dm, ts, nodes, termination, detail, t_off,
     the same expressions the integrator uses."""
     columns = np.fromiter(nodes, float, len(nodes)).reshape(len(ts), -1).T
     theta, d = columns[0], columns[1:]  # d[k]: entry k of every derivatives() tuple
-    theta_dot, h, lam, f_l, f_y, h_dot = d[0], d[6], d[7], d[8], d[9], d[10]
+    theta_dot, s, co, h, lam, f_l, f_y, h_dot = d[0], *d[4:]
     h_dd, f_n = dm.reaction(d)
     return Trajectory(
         t=np.array(ts), theta=theta, theta_dot=theta_dot, h=h, h_dot=h_dot,
         h_ddot=h_dd, lam=lam, F_l=f_l, F_y=f_y, F_N=f_n,
-        T_kin=dm.kinetic(theta, theta_dot), V_pot=dm.potential(theta),
+        T_kin=dm.kinetic(s, co, theta_dot), V_pot=dm.potential(s),
         E_band=dm.energy(lam),
         termination=termination, termination_detail=detail, t_off=t_off,
         friction_work=float(w_friction), thrust_work=float(w_thrust),
@@ -544,14 +526,14 @@ def simulate_jump(
 ) -> tuple[Trajectory, JumpSummary]:
     """Decompression, momentum transfer, ballistic flight and efficiency.
 
-    The efficiency denominator is the full band energy stored at theta0;
-    any band energy still unreleased at take-off is reported in the audit
-    rather than subtracted.
+    The efficiency denominator is the full band energy stored at theta0,
+    the first E_band row; any band energy still unreleased at take-off is
+    reported in the audit rather than subtracted.
     """
     traj = integrate_decompression(geom, model, masses, options,
                                    exact_derivative=exact_derivative,
                                    record=record)
-    e_p0 = stored_energy(model, stretch(geom, options.theta0))
+    e_p0 = float(traj.E_band[0])
     took_off = traj.termination == TAKE_OFF
 
     if took_off:
@@ -668,8 +650,8 @@ def solve_takeoff(
     without time stepping.
 
     With theta = theta0 + s^2 the kinetic energy T(s) is the integral of
-    2 s Q(theta), Q = D(theta) tdd(theta, 0) / 4 - mu_C the net torque from
-    rest, piecewise Chebyshev in s with a piece boundary at the band slack
+    2 s Q(theta), Q = _LegDynamics.torque - mu_C the net torque from rest,
+    piecewise Chebyshev in s with a piece boundary at the band slack
     point.  Integrating Q rather than forming W - (V - V0) - mu_C s^2 keeps
     T accurate near the stiction threshold, where those three terms cancel
     to the margin.  F_N is scanned at the Chebyshev points and its first zero
@@ -681,8 +663,8 @@ def solve_takeoff(
     before pi/2, and a band still taut at pi/2.
     """
     dm = _LegDynamics(geom, model, masses, exact_derivative)
-    e_p0 = stored_energy(model, stretch(geom, options.theta0))
-    found = _first_integral_takeoff(dm, options)
+    d0 = dm.derivatives(options.theta0, 0.0)
+    found = _first_integral_takeoff(dm, options, d0)
     if found is None:
         _, summary = simulate_jump(geom, model, masses, options,
                                    exact_derivative=exact_derivative, record=False)
@@ -693,18 +675,19 @@ def solve_takeoff(
         return TakeOffState(HORIZON_EXCEEDED, math.nan, math.nan, math.nan,
                             "first_integral")
     v0 = takeoff_velocity(masses, h_dot_off)
-    eta = efficiency(0.5 * masses.m_T * v0 * v0, e_p0)
+    eta = efficiency(0.5 * masses.m_T * v0 * v0, float(dm.energy(d0[7])))
     return TakeOffState(TAKE_OFF, t_off, v0, eta, "first_integral")
 
 
-def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions):
+def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     """(t_off, h_dot at take-off) on the first integral, or None where
-    solve_takeoff falls back to the integrator."""
+    solve_takeoff falls back to the integrator; d0 = dm.derivatives at
+    (theta0, 0)."""
     from .analysis import _brentq  # analysis imports this module
 
     th0 = options.theta0
     geom = dm.geom
-    if dm.static_margin(th0) <= 0.0 or dm.derivatives(th0, 0.0)[1] <= 0.0:
+    if dm.static_margin(d0) <= 0.0 or d0[1] <= 0.0:
         return None
     cos_slack = ((geom.l0 - geom.c) / SQRT3 - geom.q) / geom.a
     if not 0.0 < cos_slack < math.cos(th0):
@@ -721,9 +704,9 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions):
     lo, half = edges[:-1], 0.5 * np.diff(edges)
     s = lo[:, None] + half[:, None] * (x + 1.0)
     theta = th0 + s * s
-    rest = dm.derivatives_array(theta, np.zeros_like(theta))
-    inertia = dm.inertia(rest[4], rest[5])
-    energy = _integral(2.0 * s * (0.25 * inertia * rest[1] - dm.mu_C), half)
+    sin_th, cos_th, _, _, _, f_y = leg_forces_array(geom, dm.model, theta, dm.exact)
+    inertia = dm.inertia(sin_th, cos_th)
+    energy = _integral(2.0 * s * (dm.torque(cos_th, f_y) - dm.mu_C), half)
     start = np.concatenate([[0.0], np.cumsum(energy.sum(-1))[:-1]])
     kinetic = start[:, None] + np.einsum("pj,jk->pk", energy, at_nodes)
     theta_dot = np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
@@ -793,5 +776,6 @@ def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
             break
     states = np.fromiter(states, float, len(states)).reshape(len(ts), 4)
     theta, theta_dot, _, thrust_work = states.T
-    energy = dm.kinetic(theta, theta_dot) + dm.potential(theta) - thrust_work
+    s, co = np.sin(theta), np.cos(theta)
+    energy = dm.kinetic(s, co, theta_dot) + dm.potential(s) - thrust_work
     return np.array(ts), theta, theta_dot, energy, exited

@@ -299,25 +299,18 @@ def chain_joint_screws(mech: SarrusMechanism, i: int) -> ScrewSystem:
     ])
 
 
-def chain_constraint_screws(mech: SarrusMechanism, i: int,
-                            method: str = "analytic") -> ScrewSystem:
-    """Constraints chain i exerts on the platform (reciprocal of its joints).
-
-    analytic: the closed-form triple, a force line through r_C along e_i
-    plus couples about e_C and e_C x e_i.
-    numeric: the nullspace of the joint-screw system under the reciprocal
-    pairing; spans the same 3-space and is used for cross-validation.
+def chain_constraint_screws(mech: SarrusMechanism, i: int) -> ScrewSystem:
+    """Constraints chain i exerts on the platform (reciprocal of its joints):
+    the closed-form triple, a force line through r_C along e_i plus couples
+    about e_C and e_C x e_i.  It spans the nullspace of the joint screws
+    under the reciprocal pairing, chain_joint_screws(mech, i).reciprocal().
     """
-    if method == "analytic":
-        e = mech.normals[i]
-        return ScrewSystem([
-            Screw.revolute(e, mech.r_C[i]),
-            Screw.couple(mech.e_C),
-            Screw.couple(_cross(mech.e_C, e)),
-        ])
-    if method == "numeric":
-        return chain_joint_screws(mech, i).reciprocal()
-    raise ValueError(f"unknown method {method!r}; use 'analytic' or 'numeric'")
+    e = mech.normals[i]
+    return ScrewSystem([
+        Screw.revolute(e, mech.r_C[i]),
+        Screw.couple(mech.e_C),
+        Screw.couple(_cross(mech.e_C, e)),
+    ])
 
 
 def platform_constraint_system(mech: SarrusMechanism) -> ScrewSystem:

@@ -5,7 +5,8 @@ separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
 
 leg_forces evaluates theta -> (h, lambda, F_l, F_y) for the scalar API and the
-integrator; anchor_distance repeats its stretch line for speed.
+integrator; geometry.anchor_distance repeats its stretch line for the scalar
+stretch.
 leg_forces_array is its array twin for theta grids (thrust_profile and the
 find_equilibria scan): the same arithmetic in the same order, with numpy in
 place of math and np.maximum/np.where in place of the ifs, so it equals the

@@ -30,7 +30,6 @@ from sarrusjump import (
     SimOptions,
     ballistic,
     build_config,
-    com_velocity,
     default_config,
     dynamics,
     efficiency,
@@ -41,7 +40,6 @@ from sarrusjump import (
     stretch,
     stored_energy,
     takeoff_velocity,
-    theta_ddot,
 )
 
 from params import (
@@ -131,21 +129,6 @@ def test_takeoff_velocity_ratios():
         takeoff_velocity(M_FREE, -0.1)
 
 
-def test_com_velocity_against_link_sum():
-    # Oracle: sum of the per-link vertical momenta written out directly.
-    a, theta, theta_dot = GEOM.a, 0.42, 7.3
-    m = M_FREE
-    co = math.cos(theta)
-    momenta = (
-        m.m2 * 0.5 * a * co * theta_dot
-        + m.m3 * a * co * theta_dot
-        + m.m4 * 1.5 * a * co * theta_dot
-        + m.m5 * 2.0 * a * co * theta_dot
-    )
-    expected = momenta / (m.m_T - m.m1)
-    assert com_velocity(m, a, theta, theta_dot) == pytest.approx(expected, rel=1e-12)
-
-
 def test_ballistic_values():
     assert ballistic(0.0, 9.81) == (0.0, 0.0)
     h_max, t_aer = ballistic(2.9, 9.81)
@@ -164,8 +147,13 @@ def test_efficiency_bounds_and_errors():
 
 # ── group 3: the governing equation ───────────────────────────────────────
 
+def theta_ddot(masses, theta, theta_dot):
+    """Angular acceleration of the reference leg at (theta, theta_dot)."""
+    return dynamics._LegDynamics(GEOM, MR, masses).derivatives(theta, theta_dot)[1]
+
+
 def test_acceleration_positive_at_squat():
-    assert theta_ddot(GEOM, MR, M_FREE, 0.066, 0.0) > 0.0
+    assert theta_ddot(M_FREE, 0.066, 0.0) > 0.0
 
 
 def test_acceleration_zero_at_equilibrium():
@@ -174,27 +162,20 @@ def test_acceleration_zero_at_equilibrium():
     lo, hi = 1.3, 1.45
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if theta_ddot(GEOM, MR, M_FREE, mid, 0.0) > 0:
+        if theta_ddot(M_FREE, mid, 0.0) > 0:
             lo = mid
         else:
             hi = mid
-    assert theta_ddot(GEOM, MR, M_FREE, 0.5 * (lo + hi), 0.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_acceleration_theta_range_checked():
-    with pytest.raises(ValueError):
-        theta_ddot(GEOM, MR, M_FREE, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        theta_ddot(GEOM, MR, M_FREE, 2.0, 0.0)
+    assert theta_ddot(M_FREE, 0.5 * (lo + hi), 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_friction_opposes_motion_and_rest_is_neutral():
-    base = theta_ddot(GEOM, MR, M_DAMPED, 0.3, 0.0)
-    assert base == theta_ddot(GEOM, MR, M_FREE, 0.3, 0.0)  # sgn(0) = 0
-    forward = theta_ddot(GEOM, MR, M_DAMPED, 0.3, 1.0)
-    backward = theta_ddot(GEOM, MR, M_DAMPED, 0.3, -1.0)
-    free_fwd = theta_ddot(GEOM, MR, M_FREE, 0.3, 1.0)
-    free_back = theta_ddot(GEOM, MR, M_FREE, 0.3, -1.0)
+    base = theta_ddot(M_DAMPED, 0.3, 0.0)
+    assert base == theta_ddot(M_FREE, 0.3, 0.0)  # sgn(0) = 0
+    forward = theta_ddot(M_DAMPED, 0.3, 1.0)
+    backward = theta_ddot(M_DAMPED, 0.3, -1.0)
+    free_fwd = theta_ddot(M_FREE, 0.3, 1.0)
+    free_back = theta_ddot(M_FREE, 0.3, -1.0)
     assert forward < free_fwd
     assert backward > free_back
 
@@ -332,17 +313,18 @@ def _observe(dm, model, t, theta, theta_dot, released=True):
     """One trajectory row evaluated per node with scalar math, as the
     recorder did before it derived whole columns: the kernel at (theta,
     theta_dot), with friction sliding at the release node of a leg that
-    breaks free, the reaction, the energies with math.cos and math.sin, and
-    the slack clamp as a branch."""
+    breaks free, the reaction, the energies with math.sin and math.cos (the
+    kinetic one as D(theta) theta_dot^2 / 8, D the denominator of the
+    equation of motion), and the slack clamp as a branch."""
     d = dm.derivatives(theta, theta_dot)
     if t == 0.0 and released:
         d = dm.release(d)
     _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
     h_dd, f_n = dm.reaction(d)
-    td2 = theta_dot * theta_dot
-    kinetic = (dm.a2 / 8.0 * (4.0 * dm.M1 * math.cos(2.0 * theta) + dm.M2) * td2
-               + dm.half_I * td2)
-    potential = 0.5 * dm.a * dm.g * dm.M3 * math.sin(theta) + dm.p * dm.g * dm.M4
+    s, co = math.sin(theta), math.cos(theta)
+    inertia = dm.a2 * (4.0 * dm.M1 * (co * co - s * s) + dm.M2) + dm.I4
+    kinetic = inertia * theta_dot * theta_dot / 8.0
+    potential = 0.5 * dm.a * dm.g * dm.M3 * s + dm.p * dm.g * dm.M4
     band = model.strain_energy(lam) if lam > 1.0 else 0.0
     return (t, theta, theta_dot, h, h_dot, h_dd, lam, f_l, f_y, f_n,
             kinetic, potential, band)
@@ -495,8 +477,9 @@ def test_take_off_velocity_monotone_in_damping():
 def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
     """The reference run evaluates the kernel 4 times per RK4 step and per
     bisection iteration (stages 2-4 plus the end-of-step evaluation, which
-    is also the next k1, the event tests and the row), plus the start state
-    and its rest check, whether or not every step is recorded."""
+    is also the next k1, the event tests and the row), plus the start state,
+    whose tuple the rest check reads, whether or not every step is
+    recorded."""
     calls = {"leg_forces": 0, "rk4": 0}
 
     def counted(name, fn):
@@ -511,8 +494,8 @@ def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
     traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
                                   record=record)
     assert summary.termination == TAKE_OFF
-    assert calls == {"leg_forces": 54150, "rk4": 13537}
-    assert calls["leg_forces"] == 4 * calls["rk4"] + 2
+    assert calls == {"leg_forces": 54149, "rk4": 13537}
+    assert calls["leg_forces"] == 4 * calls["rk4"] + 1
     assert len(traj) == (13531 if record else 2)
 
 

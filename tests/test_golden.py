@@ -6,7 +6,9 @@ these digests; a deliberate change of results regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which outputs moved and why.  The digests pin the
+which prints each case and file whose digest differs from the committed
+one before it rewrites the file, and says in CHANGES.md which outputs
+moved and why.  The digests pin the
 floating-point results of the libm and LAPACK they were made with, so the
 file also records the Python, numpy and libc versions of that platform; a
 mismatch prints them beside the current ones, to tell a platform
@@ -139,6 +141,12 @@ def test_golden_file_covers_every_case():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
+    for name, files in digests.items():
+        before = old.get(name, {})
+        for file in sorted(set(files) | set(before)):
+            if files.get(file) != before.get(file):
+                print(f"differs: {name}/{file}", file=sys.stderr)
     golden = {"platform": platform_info(), "cases": digests}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(digests)} cases)", file=sys.stderr)

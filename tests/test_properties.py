@@ -6,6 +6,7 @@ suite stays deterministic, and no example database is written.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sarrusjump import (
     MooneyRivlinBand,
     simulate_jump,
     solve_takeoff,
+    stiction_threshold,
 )
 
 from params import nominal_geometry, nominal_masses, sim_options
@@ -28,7 +30,9 @@ from params import nominal_geometry, nominal_masses, sim_options
 def designs(draw):
     """(geometry, band law, masses) near the defaults.  A heavy foot now and
     then keeps the leg grounded past the slack point, so the slack split and
-    the hard stop are drawn as well as take-off."""
+    the hard stop are drawn as well as take-off.  mu_C is a share in
+    [0, 1.1] of the draw's own stiction threshold at the squat, so most
+    draws break free and a few stick at rest."""
     geom = nominal_geometry(
         a=draw(st.floats(0.060, 0.075)),
         c=draw(st.floats(0.050, 0.060)),
@@ -45,11 +49,11 @@ def designs(draw):
                   **{k: st.just(v) for k, v in shared.items()}),
     ))
     masses = nominal_masses(
-        mu_C=draw(st.floats(0.0, 0.03)),
         m1=draw(st.one_of(st.floats(1e-3, 5e-3), st.floats(20.0, 60.0))),
         m5=draw(st.floats(10e-3, 20e-3)),
     )
-    return geom, law, masses
+    threshold = stiction_threshold(geom, law, masses, sim_options().theta0)
+    return geom, law, replace(masses, mu_C=draw(st.floats(0.0, 1.1)) * threshold)
 
 
 def _outcome(design, record):

@@ -153,15 +153,10 @@ def test_analytic_constraints_annihilate_joint_screws():
 def test_numeric_constraints_span_analytic_space():
     mech = s1_mechanism()
     for i in range(mech.n):
-        analytic = chain_constraint_screws(mech, i, "analytic")
-        numeric = chain_constraint_screws(mech, i, "numeric")
+        analytic = chain_constraint_screws(mech, i)
+        numeric = chain_joint_screws(mech, i).reciprocal()
         assert analytic.rank() == 3 and numeric.rank() == 3
         assert subspace_angle(analytic, numeric) < 1e-10
-
-
-def test_constraint_method_validated():
-    with pytest.raises(ValueError):
-        chain_constraint_screws(s1_mechanism(), 0, "symbolic")
 
 
 # ── platform mobility ─────────────────────────────────────────────────────
