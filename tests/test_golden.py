@@ -33,6 +33,7 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 FAST = ["--set", "sim.step=5e-5"]
 LINEAR = {"elastic": {"model": "linear", "k": 36.0}}
+SOFT_LINEAR = {"elastic": {"model": "linear", "k": 15.0}}
 GAUSSIAN = {"elastic": {"model": "gaussian", "C0": 4.794e-3, "T": 296.0}}
 # A band too weak to hold the squat: the leg collapses until the ground
 # reaction reaches zero with the head falling.
@@ -62,6 +63,14 @@ CASES = {
                        None, 0),
     "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST,
                       None, 0),
+    # Undamped points that never take off.  theta0: point 10 releases
+    # towards -theta and closes its orbit, point 9 rises to the horizon,
+    # point 0 inverts the knee.  Heavy foot: points 1-10 reach pi/2 on the
+    # ground.
+    "sensitivity_theta0": (["sensitivity", "--parameter", "theta0", "--points", "11",
+                            "--set", "masses.m5=0.04"] + FAST, SOFT_LINEAR, 0),
+    "sensitivity_m1_heavy": (["sensitivity", "--parameter", "m1", "--points", "11",
+                              "--set", "masses.m1=50"] + FAST, None, 0),
     "identify_mu": (["identify-mu", "--target-v0", "2.85"] + FAST, None, 0),
     "phase_portrait": (["phase-portrait"], None, 0),
     "phase_portrait_undamped": (["phase-portrait", "--grid-n", "5",
