@@ -268,6 +268,7 @@ class SensitivityCurve:
     status: list[str]      # ok | stiction | kneeinversion | contactlost |
                            # horizonexceeded | invalid
     values: np.ndarray     # actual parameter values swept
+    solver: list[str]      # TakeOffState.solver of each point; "none" if invalid
 
     def columns(self):
         """The columns in SENSITIVITY_CSV_HEADER order."""
@@ -295,7 +296,7 @@ def sensitivity(
         raise ValueError(
             f"unknown parameter {parameter!r}; choose from {SWEEPABLE_PARAMETERS}")
     base_masses = _undamped(masses)
-    props, etas, statuses, values = [], [], [], []
+    props, etas, statuses, values, solvers = [], [], [], [], []
     for prop in proportions:
         prop = float(prop)
         try:
@@ -304,14 +305,16 @@ def sensitivity(
             etas.append(state.eta_pct)
             statuses.append("ok" if state.termination == TAKE_OFF
                             else state.termination.lower())
+            solvers.append(state.solver)
         except ValueError:
             value = math.nan
             etas.append(math.nan)
             statuses.append("invalid")
+            solvers.append("none")
         props.append(prop)
         values.append(value)
     return SensitivityCurve(parameter, np.array(props), np.array(etas),
-                            statuses, np.array(values))
+                            statuses, np.array(values), solvers)
 
 
 def _scaled(geom, masses, options, parameter, prop):

@@ -179,6 +179,10 @@ def cmd_sensitivity(args) -> int:
     path = out / f"sensitivity_{args.parameter}.csv"
     write_csv(path, analysis.SENSITIVITY_CSV_HEADER, curve.columns())
     print(f"wrote {path}")
+    tally = ", ".join(f"{status} {curve.status.count(status)}"
+                      for status in dict.fromkeys(curve.status))
+    print(f"points: {tally}; rk4 fallback decided {curve.solver.count('rk4')}"
+          f" of {len(curve.status)}")
     return 0
 
 

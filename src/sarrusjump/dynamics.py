@@ -34,13 +34,16 @@ free, friction slides against the net starting torque from the release
 instant on, so the first RK4 stage carries it too.
 
 solve_takeoff finds the same take-off without time stepping.  While
-theta_dot > 0 the Coulomb torque is constant, and the kinetic energy
-D(theta) td^2 / 8 is a first integral:
+theta_dot keeps the sign sigma of the release the Coulomb torque is
+constant, and the kinetic energy D(theta) td^2 / 8 is a first integral:
 
-    td^2(theta) = 8 [W(theta) - (V(theta) - V(theta0)) - mu_C (theta - theta0)] / D(theta)
+    td^2(theta) = 8 [W(theta) - (V(theta) - V(theta0)) - sigma mu_C (theta - theta0)] / D(theta)
 
 with W the thrust work.  Take-off is then a root of F_N along theta, and
-t_off a quadrature; cases outside that picture fall back to the integrator.
+t_off a quadrature.  A leg that rises to pi/2 with F_N > 0, and an
+undamped leg that turns back with F_N > 0 (F_N depends on td^2 only, so
+the orbit retraces it until t_max), never take off; every other case
+outside that picture falls back to the integrator.
 """
 
 from __future__ import annotations
@@ -604,6 +607,11 @@ class TakeOffState(NamedTuple):
 _PIECE_NODES = 24
 _BULK_PIECES = 8
 _GRADED_PIECES = 30
+# A verdict that the leg never takes off needs F_N and the kinetic energy
+# at the pi/2 stop, or its dip past a turning point, clear of zero by this
+# share of m_T g and of the largest T on the way: far above the
+# interpolation error, and above the integrator's energy drift.
+_MARGIN = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,13 +662,16 @@ def solve_takeoff(
     piecewise Chebyshev in s with a piece boundary at the band slack
     point.  Integrating Q rather than forming W - (V - V0) - mu_C s^2 keeps
     T accurate near the stiction threshold, where those three terms cancel
-    to the margin.  F_N is scanned at the Chebyshev points and its first zero
-    refined with Brent's method; t_off = integral of 2 s / theta_dot ds by
-    the same pieces, and t_off > t_max is HorizonExceeded.  Every other
-    outcome falls back to simulate_jump, so the status is always the
-    integrator's: a release that sticks or starts towards -theta, T <= 0
-    before the zero (reversal), a zero with the head falling, no zero
-    before pi/2, and a band still taut at pi/2.
+    to the margin.  A release towards -theta writes theta = theta0 - s^2
+    with the same pieces.  F_N is scanned at the Chebyshev points and its
+    first zero refined with Brent's method; t_off = integral of 2 s /
+    theta_dot ds by the same pieces, and t_off > t_max is HorizonExceeded.
+    So are, with F_N > 0 at every point, a rise to pi/2 and (mu_C = 0) a
+    return of T to 0 at a turning point, refined with Brent's method.
+    Every other outcome falls back to simulate_jump, so the status is
+    always the integrator's: a release that sticks, a knee inversion, a
+    zero with the head falling, a damped reversal, a band still taut at
+    pi/2, and a never-take-off verdict within _MARGIN.
     """
     dm = _LegDynamics(geom, model, masses, exact_derivative)
     d0 = dm.derivatives(options.theta0, 0.0)
@@ -680,20 +691,26 @@ def solve_takeoff(
 
 
 def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
-    """(t_off, h_dot at take-off) on the first integral, or None where
-    solve_takeoff falls back to the integrator; d0 = dm.derivatives at
-    (theta0, 0)."""
+    """(t_off, h_dot at take-off) on the first integral, t_off = inf where
+    the leg never takes off, or None where solve_takeoff falls back to the
+    integrator; d0 = dm.derivatives at (theta0, 0)."""
     from .analysis import _brentq  # analysis imports this module
 
     th0 = options.theta0
     geom = dm.geom
-    if dm.static_margin(d0) <= 0.0 or d0[1] <= 0.0:
+    if dm.static_margin(d0) <= 0.0:
         return None
+    sigma = 1.0 if d0[1] > 0.0 else -1.0  # the direction of dm.release(d0)
+    if sigma < 0.0 and dm.mu_C > 0.0:
+        return None  # contact lost, knee inversion or a damped reversal
     cos_slack = ((geom.l0 - geom.c) / SQRT3 - geom.q) / geom.a
-    if not 0.0 < cos_slack < math.cos(th0):
-        return None  # taut at pi/2, or slack at release
-    s_slack = math.sqrt(math.acos(cos_slack) - th0)
-    s_end = math.sqrt(0.5 * math.pi - th0)
+    if sigma > 0.0 and not cos_slack > 0.0:
+        return None  # taut at pi/2
+    th_end = 0.5 * math.pi if sigma > 0.0 else 0.0
+    th_slack = math.acos(min(max(cos_slack, -1.0), 1.0))
+    s_end = math.sqrt(sigma * (th_end - th0))
+    s_slack = (math.sqrt(sigma * (th_slack - th0))
+               if min(th0, th_end) < th_slack < max(th0, th_end) else s_end)
     bulk = s_slack / _BULK_PIECES
     edges = np.concatenate([
         [0.0], bulk * 0.5 ** np.arange(_GRADED_PIECES, 0, -1),
@@ -703,30 +720,61 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     x, _, at_nodes = _chebyshev(_PIECE_NODES)
     lo, half = edges[:-1], 0.5 * np.diff(edges)
     s = lo[:, None] + half[:, None] * (x + 1.0)
-    theta = th0 + s * s
+    theta = th0 + sigma * s * s
     sin_th, cos_th, _, _, _, f_y = leg_forces_array(geom, dm.model, theta, dm.exact)
     inertia = dm.inertia(sin_th, cos_th)
-    energy = _integral(2.0 * s * (dm.torque(cos_th, f_y) - dm.mu_C), half)
+    energy = _integral(2.0 * s * (sigma * dm.torque(cos_th, f_y) - dm.mu_C), half)
     start = np.concatenate([[0.0], np.cumsum(energy.sum(-1))[:-1]])
     kinetic = start[:, None] + np.einsum("pj,jk->pk", energy, at_nodes)
-    theta_dot = np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
+    theta_dot = sigma * np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
     f_n = dm.reaction(dm.derivatives_array(theta, theta_dot))[1].ravel()
-    below = np.flatnonzero(f_n <= 0.0)
-    if below.size == 0 or below[0] == 0 or kinetic.ravel()[:below[0] + 1].min() <= 0.0:
+    s_flat, t_flat, breaks = s.ravel(), kinetic.ravel(), edges.tolist()
+    turn = np.flatnonzero(t_flat <= 0.0)
+    turn = turn[0] if turn.size else t_flat.size  # first node past a turning point
+    below = np.flatnonzero(f_n[:turn] <= 0.0)
+    if turn == 0 or (below.size and (below[0] == 0 or sigma < 0.0)):
         return None
-    s_flat, breaks = s.ravel(), edges.tolist()
 
     def kinetic_at(k, si):
         """T at si, a float or an array inside piece k."""
         return start[k] + _chebyshev_value(energy[k], (si - lo[k]) / half[k] - 1.0)
 
+    def piece(si):
+        return min(bisect.bisect_right(breaks, si), len(lo)) - 1
+
     def state(si):
         """derivatives() on the first integral at si, or NaNs where T <= 0."""
-        t_kin = kinetic_at(bisect.bisect_right(breaks, si) - 1, si)
+        t_kin = kinetic_at(piece(si), si)
         if not t_kin > 0.0:
             return (math.nan,) * 11
-        th = th0 + si * si
-        return dm.derivatives(th, math.sqrt(8.0 * t_kin / dm.inertia(math.sin(th), math.cos(th))))
+        th = th0 + sigma * si * si
+        speed = math.sqrt(8.0 * t_kin / dm.inertia(math.sin(th), math.cos(th)))
+        return dm.derivatives(th, sigma * speed)
+
+    if not below.size:
+        # No zero of F_N: the leg reaches pi/2 on the ground, or (undamped)
+        # turns at s_stop and retraces the same F_N back to rest at theta0.
+        # Either way it never takes off, if F_N and T clear zero by _MARGIN.
+        t_peak = t_flat[:turn].max()
+        if turn == t_flat.size:
+            if sigma < 0.0:
+                return None  # knee inversion
+            clear = kinetic_at(len(lo) - 1, s_end) > _MARGIN * t_peak
+            d_stop = state(s_end)
+        else:
+            if dm.mu_C > 0.0:
+                return None  # a damped reversal
+            clear = t_flat[turn:turn + 2].min() < -_MARGIN * t_peak
+            try:
+                s_stop = _brentq(lambda si: kinetic_at(piece(si), si),
+                                 s_flat[turn - 1], s_flat[turn])
+            except ValueError:  # T at the nodes and between them disagree
+                return None
+            d_stop = dm.derivatives(th0 + sigma * s_stop * s_stop, 0.0)
+        floor = _MARGIN * dm.m_T * dm.g
+        if clear and f_n[:turn].min() > floor and dm.reaction(d_stop)[1] > floor:
+            return math.inf, math.nan
+        return None
 
     try:
         s_off = _brentq(lambda si: dm.reaction(state(si))[1],
@@ -739,7 +787,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
 
     # t_off: the whole pieces below s_off from their nodes, then the part
     # of the piece holding s_off on points of its own.
-    k = bisect.bisect_right(breaks, s_off) - 1
+    k = piece(s_off)
     t_off = float(_integral(2.0 * s[:k] / theta_dot[:k], half[:k]).sum())
     part = 0.5 * (s_off - lo[k])
     sp = lo[k] + part * (x + 1.0)

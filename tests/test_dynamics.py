@@ -28,12 +28,14 @@ from sarrusjump import (
     LinearSpring,
     MassModel,
     SimOptions,
+    apply_overrides,
     ballistic,
     build_config,
     default_config,
     dynamics,
     efficiency,
     integrate_decompression,
+    sensitivity,
     simulate_jump,
     solve_takeoff,
     stiction_threshold,
@@ -522,15 +524,20 @@ def test_solver_lands_on_the_integrator(law, mu_C):
 
 
 # name -> (band law, masses, exact derivative, theta0, t_max, termination,
-# solver): the solver decides a horizon it can see past; the integrator
-# decides stiction, a release towards -theta, and a leg that reaches the
-# pi/2 stop on the ground.
+# solver): the solver decides a horizon it can see past, a leg that reaches
+# the pi/2 stop on the ground, and an undamped orbit that turns back before
+# any zero of F_N, from either side of the equilibrium centre (~1.383 rad);
+# the integrator decides stiction, a damped release towards -theta (it
+# re-sticks) and a release that inverts the knee.
 SOLVER_CASES = {
     "horizon": (MR, M_DAMPED, False, 0.066, 0.05, HORIZON_EXCEEDED, "first_integral"),
     "stiction": (MR, nominal_masses(mu_C=1.0), False, 0.066, 0.5, STICTION, "rk4"),
     "restuck": (MR, nominal_masses(mu_C=1e-3), False, 1.45, 0.5, STICTION, "rk4"),
     "knee_inversion": (MR, M_FREE, True, 0.066, 0.5, KNEE_INVERSION, "rk4"),
-    "hard_stop": (MR, nominal_masses(m1=50.0), False, 0.066, 0.5, HORIZON_EXCEEDED, "rk4"),
+    "hard_stop": (MR, nominal_masses(m1=50.0), False, 0.066, 0.5, HORIZON_EXCEEDED,
+                  "first_integral"),
+    "closed_descending": (MR, M_FREE, False, 1.45, 0.5, HORIZON_EXCEEDED, "first_integral"),
+    "closed_ascending": (MR, M_FREE, False, 1.36, 0.5, HORIZON_EXCEEDED, "first_integral"),
 }
 
 
@@ -543,6 +550,32 @@ def test_solver_falls_back_outside_the_first_integral(case):
     assert (state.termination, state.solver) == (termination, solver)
     assert summary.termination == termination
     assert math.isnan(state.v0_mps) and math.isnan(state.eta_pct)
+
+
+@pytest.mark.parametrize("parameter, sets", [
+    ("m1", ["masses.m1=50"]),
+    ("theta0", ["elastic.model=linear", "elastic.k=15", "masses.m5=0.04"]),
+])
+def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, monkeypatch):
+    """The golden sweeps sensitivity_m1_heavy (ten points reach pi/2 on the
+    ground) and sensitivity_theta0 (an orbit that closes from either side of
+    the centre) run simulate_jump only for the points that invert the
+    knee."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].theta0)
+        return simulate(*args, **kwargs)
+
+    simulate = dynamics.simulate_jump
+    monkeypatch.setattr(dynamics, "simulate_jump", counted)
+    run = build_config(apply_overrides(default_config(), sets + ["sim.step=5e-5"]))
+    curve = sensitivity(run.geometry, run.elastic, run.masses, parameter,
+                        np.linspace(0.0, 1.0, 11), run.sim)
+    assert "horizonexceeded" in curve.status
+    knee = [st == "kneeinversion" for st in curve.status]
+    assert [solver == "rk4" for solver in curve.solver] == knee
+    assert len(calls) == sum(knee) == (2 if parameter == "theta0" else 0)
 
 
 @pytest.mark.parametrize("exact", (False, True))

@@ -64,9 +64,9 @@ CASES = {
     "sensitivity_q": (["sensitivity", "--parameter", "q", "--points", "11"] + FAST,
                       None, 0),
     # Undamped points that never take off.  theta0: point 10 releases
-    # towards -theta and closes its orbit, point 9 rises to the horizon,
-    # point 0 inverts the knee.  Heavy foot: points 1-10 reach pi/2 on the
-    # ground.
+    # towards -theta and point 9 towards +theta, and both orbits close
+    # before F_N reaches zero; points 0 and 1 invert the knee.  Heavy foot:
+    # points 1-10 reach pi/2 on the ground.
     "sensitivity_theta0": (["sensitivity", "--parameter", "theta0", "--points", "11",
                             "--set", "masses.m5=0.04"] + FAST, SOFT_LINEAR, 0),
     "sensitivity_m1_heavy": (["sensitivity", "--parameter", "m1", "--points", "11",

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarrusjump import (
+    SWEEPABLE_PARAMETERS,
     TAKE_OFF,
     GaussianBand,
     LinearSpring,
     MooneyRivlinBand,
+    sensitivity,
     simulate_jump,
     solve_takeoff,
     stiction_threshold,
@@ -101,3 +103,40 @@ def test_takeoff_solver_agrees_with_the_integrator(design, exact_derivative):
     if summary.termination == TAKE_OFF:
         assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
         assert state.t_off_s == pytest.approx(summary.t_off_s, rel=1e-9)
+
+
+@st.composite
+def releases(draw):
+    """(geometry, band law, undamped masses, theta0): a draw of designs()
+    released from rest anywhere between the squat and past the equilibrium
+    centre, so that closed orbits from either side, the pi/2 stop and knee
+    inversions are drawn as well as take-off.  designs() itself is left as
+    it is, so the draws of the tests above do not move."""
+    geom, law, masses = draw(designs())
+    return geom, law, replace(masses, mu_C=0.0), draw(st.floats(0.066, 1.5))
+
+
+SENSITIVITY_STATUSES = {"ok", "stiction", "kneeinversion", "contactlost",
+                        "horizonexceeded", "invalid"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(releases(), st.booleans(), st.sampled_from(SWEEPABLE_PARAMETERS))
+def test_undamped_releases_get_the_integrators_status(release, exact_derivative,
+                                                      parameter):
+    """solve_takeoff reports the status of RK4 at step 1e-5 for undamped
+    releases from anywhere in [0.066, 1.5], and a sweep of any parameter
+    over proportions in [0, 1.5] never raises and marks each point with a
+    documented status."""
+    geom, law, masses, theta0 = release
+    opts = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.2, theta0=theta0)
+    _, summary = simulate_jump(geom, law, masses, opts, exact_derivative, record=False)
+    state = solve_takeoff(geom, law, masses, opts, exact_derivative)
+    assert state.termination == summary.termination
+    if summary.termination == TAKE_OFF:
+        assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
+    curve = sensitivity(geom, law, masses, parameter, np.linspace(0.0, 1.5, 4),
+                        sim_options(step=1e-4, t_max=0.2, theta0=theta0),
+                        exact_derivative)
+    assert set(curve.status) <= SENSITIVITY_STATUSES
+    assert len(curve.status) == len(curve.solver) == 4
