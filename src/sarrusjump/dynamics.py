@@ -740,6 +740,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
         return start[k] + _chebyshev_value(energy[k], (si - lo[k]) / half[k] - 1.0)
 
     def piece(si):
+        """The piece holding si; s_end belongs to the last one."""
         return min(bisect.bisect_right(breaks, si), len(lo)) - 1
 
     def state(si):

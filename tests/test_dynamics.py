@@ -552,11 +552,12 @@ def test_solver_falls_back_outside_the_first_integral(case):
     assert math.isnan(state.v0_mps) and math.isnan(state.eta_pct)
 
 
-@pytest.mark.parametrize("parameter, sets", [
-    ("m1", ["masses.m1=50"]),
-    ("theta0", ["elastic.model=linear", "elastic.k=15", "masses.m5=0.04"]),
+@pytest.mark.parametrize("parameter, sets, knee_points", [
+    ("m1", ["masses.m1=50"], 0),
+    ("theta0", ["elastic.model=linear", "elastic.k=15", "masses.m5=0.04"], 2),
 ])
-def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, monkeypatch):
+def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, knee_points,
+                                                  monkeypatch):
     """The golden sweeps sensitivity_m1_heavy (ten points reach pi/2 on the
     ground) and sensitivity_theta0 (an orbit that closes from either side of
     the centre) run simulate_jump only for the points that invert the
@@ -575,7 +576,7 @@ def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, monkeypatch):
     assert "horizonexceeded" in curve.status
     knee = [st == "kneeinversion" for st in curve.status]
     assert [solver == "rk4" for solver in curve.solver] == knee
-    assert len(calls) == sum(knee) == (2 if parameter == "theta0" else 0)
+    assert len(calls) == sum(knee) == knee_points
 
 
 @pytest.mark.parametrize("exact", (False, True))
