@@ -600,7 +600,8 @@ class TakeOffState(NamedTuple):
 
 
 # Chebyshev points per piece, and the pieces of [0, s_slack] and of the
-# slack band after it: equal pieces above s_slack / _BULK_PIECES, halving
+# rest of the swept range after it (s_slack = s_end where the range holds
+# no slack angle): equal pieces above s_slack / _BULK_PIECES, halving
 # ones below, down to s_slack * 2**-(_GRADED_PIECES + 3), where the
 # kinetic energy is Q(theta0) s^2 to the last bit.  The halving pieces keep
 # T and t_off accurate when a release barely breaks stiction.
