@@ -196,9 +196,11 @@ def phase_portrait(
 ) -> list[PortraitTrajectory]:
     """Trace the leg dynamics from a grid of release angles.
 
-    Undamped (mu_C = 0) releases are integrated both forward and backward
-    in time, tracing the equi-energetic curve through each release point;
-    damped releases are integrated forward only.  Failures are recorded
+    Undamped (mu_C = 0) releases trace the equi-energetic curve through
+    each release point both forward and backward in time: the forward RK4
+    run is integrated, and its mirror (t -> -t, theta_dot -> -theta_dot),
+    which equals a backward run to the bit, supplies the backward half.
+    Damped releases are integrated forward only.  Failures are recorded
     per trajectory, not raised.
     """
     t_span = finite("t_span", t_span, "positive")
@@ -218,17 +220,20 @@ def phase_portrait(
 
 def _trace(dm, theta0, undamped, t_span, step, bounds, closure_tol):
     t_f, th_f, om_f, en_f, exited_f = _integrate_raw(
-        dm, theta0, 0.0, t_span, step, bounds, forward=True)
+        dm, theta0, 0.0, t_span, step, bounds)
     if not np.all(np.isfinite(th_f)):
         raise FloatingPointError(f"non-finite state from release {theta0}")
     if undamped:
-        t_b, th_b, om_b, en_b, exited_b = _integrate_raw(
-            dm, theta0, 0.0, t_span, step, bounds, forward=False)
-        t = np.concatenate([t_b[::-1], t_f[1:]])
-        theta = np.concatenate([th_b[::-1], th_f[1:]])
-        omega = np.concatenate([om_b[::-1], om_f[1:]])
-        energy = np.concatenate([en_b[::-1], en_f[1:]])
-        if exited_f or exited_b:
+        # The backward half is the forward one mirrored in time: with
+        # mu_C = 0 the RK4 stages see theta_dot only through theta_dot^2 and
+        # h_dot, so stepping by -dt from rest flips the signs of t and
+        # theta_dot, to the bit, and leaves theta and energy as they are.
+        # 0.0 - x keeps t = 0 and the release theta_dot at +0.0.
+        t = np.concatenate([(0.0 - t_f)[::-1], t_f[1:]])
+        theta = np.concatenate([th_f[::-1], th_f[1:]])
+        omega = np.concatenate([(0.0 - om_f)[::-1], om_f[1:]])
+        energy = np.concatenate([en_f[::-1], en_f[1:]])
+        if exited_f:
             status = "escaped"
         else:
             status = "closed" if _returns_to_start(th_f, om_f, theta0, closure_tol) else "open"

@@ -803,8 +803,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
 
 
 def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
-                   t_span: float, step: float, bounds: tuple[float, float],
-                   forward: bool = True):
+                   t_span: float, step: float, bounds: tuple[float, float]):
     """Event-free fixed-step integration of the bare leg dynamics.
 
     Used for phase portraits and stability probes.  Returns (t, theta,
@@ -812,7 +811,7 @@ def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
     conserved along undamped trajectories, and exited flags a bounds exit.
     """
     n = max(int(round(t_span / step)), 1)
-    dt = (t_span / n) * (1.0 if forward else -1.0)
+    dt = t_span / n
     ts = [0.0]
     y = (theta0, theta_dot0, 0.0, 0.0)
     states = list(y)  # flat, as the nodes of integrate_decompression

@@ -15,6 +15,7 @@ from sarrusjump import (
     CENTER,
     SADDLE,
     LegAngleInterval,
+    LinearSpring,
     find_equilibria,
     identify_mu,
     phase_portrait,
@@ -26,11 +27,12 @@ from sarrusjump import (
 )
 import sarrusjump.analysis as analysis_module
 from sarrusjump.analysis import _brentq
-from sarrusjump.dynamics import _integrate_raw, _LegDynamics
-from sarrusjump.thrust import leg_forces
+from sarrusjump.dynamics import _integrate_raw, _LegDynamics, _rk4
+from sarrusjump.thrust import leg_forces, leg_forces_array
 
 from params import (
     MU_IDENTIFIED,
+    gaussian_band,
     mooney_band,
     nominal_geometry,
     nominal_masses,
@@ -205,6 +207,111 @@ def test_portrait_failures_marked_not_raised():
                            t_span=0.2, step=1e-4)
     assert trajs[0].status == "failed"
     assert trajs[1].status == "closed"
+
+
+PORTRAIT_BOUNDS = (-0.15, math.pi / 2 + 0.1)  # phase_portrait's default
+
+
+def backward_reference(dm, theta0, t_span, step, bounds):
+    """The backward half of an undamped portrait the long way: RK4 at step
+    -dt from rest, stopped at a bounds exit like _integrate_raw.  Returns
+    (t, theta, theta_dot, energy, exited) from the release on."""
+    n = max(int(round(t_span / step)), 1)
+    dt = -(t_span / n)
+    ts, states = [0.0], [(theta0, 0.0, 0.0, 0.0)]
+    exited = False
+    for i in range(1, n + 1):
+        y = states[-1]
+        states.append(_rk4(dm, y, dm.derivatives(y[0], y[1]), dt))
+        ts.append(i * dt)
+        if not (bounds[0] <= states[-1][0] <= bounds[1]):
+            exited = True
+            break
+    theta, theta_dot, _, thrust_work = np.array(states).T
+    s, co = np.sin(theta), np.cos(theta)
+    energy = dm.kinetic(s, co, theta_dot) + dm.potential(s) - thrust_work
+    return np.array(ts), theta, theta_dot, energy, exited
+
+
+MIRROR_RELEASES = (-0.1, 0.066, 0.6, 1.35, 1.5, 1.6)
+
+
+@pytest.mark.parametrize("exact_derivative", (False, True))
+@pytest.mark.parametrize("law", ("mooney", "gaussian", "linear"))
+@pytest.mark.parametrize("geometry", ("nominal", "pin"))
+def test_undamped_portrait_mirrors_a_backward_run(geometry, law, exact_derivative):
+    """The backward half of an undamped portrait equals RK4 run backward in
+    time from the release, to the bit, in t, theta, theta_dot, energy and
+    the bounds exit; the release sample keeps t = +0.0 and theta_dot = +0.0."""
+    geom = GEOM if geometry == "nominal" else pin_geometry()
+    band = {"mooney": mooney_band(geom), "gaussian": gaussian_band(geom),
+            "linear": LinearSpring(k=36.0, l0=geom.l0)}[law]
+    dm = _LegDynamics(geom, band, M_FREE, exact_derivative)
+    trajs = phase_portrait(geom, band, M_FREE, MIRROR_RELEASES, t_span=0.3,
+                           step=2e-4, exact_derivative=exact_derivative)
+    for traj in trajs:
+        t, theta, theta_dot, energy, exited = backward_reference(
+            dm, traj.theta0, 0.3, 2e-4, PORTRAIT_BOUNDS)
+        n = t.size
+        assert np.array_equal(traj.t[n - 1::-1], t)
+        assert np.array_equal(traj.theta[n - 1::-1], theta)
+        assert np.array_equal(traj.theta_dot[n - 1::-1], theta_dot)
+        assert np.array_equal(traj.energy[n - 1::-1], energy)
+        assert (traj.status == "escaped") == exited
+        assert not np.signbit(traj.t[n - 1]) and not np.signbit(traj.theta_dot[n - 1])
+    assert {"escaped", "closed"} <= {traj.status for traj in trajs}
+
+
+def first_integral_status(geom, model, masses, theta0, bounds, margin=1e-2, n=20001):
+    """The undamped portrait status of a release from rest, from the kinetic
+    energy T(theta) = integral of the net torque from rest
+    (_LegDynamics.torque) from theta0, by the trapezoid rule on a fine grid
+    in each direction: "escaped" when T stays positive up to a bound,
+    "closed" when it falls back to 0 on the side the leg moves to and
+    stays below 0 on the other.  None where a margin of margin * max T does
+    not separate the verdicts: a release at rest or near a separatrix, or a
+    turning point behind a barrier lower than the margin."""
+    dm = _LegDynamics(geom, model, masses)
+    sides = []
+    for end in (bounds[1], bounds[0]):
+        theta = np.linspace(theta0, end, n)
+        _, co, _, _, _, f_y = leg_forces_array(geom, model, theta, False)
+        q = dm.torque(co, f_y)
+        sides.append(np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(theta))]))
+    ahead, behind = sides if sides[0][1] > 0.0 else sides[::-1]
+    if not ahead[1] > 0.0:
+        return None
+    back = np.flatnonzero(ahead[1:] <= 0.0)
+    turn = back[0] + 1 if back.size else n
+    floor = margin * ahead[:turn].max()
+    above = np.flatnonzero(ahead[:turn] > floor)
+    if above[-1] - above[0] + 1 != above.size:
+        return None  # T dips towards 0 on the way out
+    if turn == n:
+        return "escaped"
+
+    def dips(T):
+        rise = np.flatnonzero(T > 0.0)
+        return T[:rise[0] if rise.size else T.size].min() < -floor
+
+    return "closed" if dips(ahead[turn:]) and dips(behind[1:]) else None
+
+
+@pytest.mark.parametrize("law", ("mooney", "gaussian"))
+@pytest.mark.parametrize("geometry", ("nominal", "pin"))
+def test_portrait_status_matches_the_first_integral(geometry, law):
+    """RK4's closed / escaped verdict agrees with the turning points of the
+    first integral wherever its margin is clear."""
+    geom = GEOM if geometry == "nominal" else pin_geometry()
+    band = mooney_band(geom) if law == "mooney" else gaussian_band(geom)
+    releases = np.linspace(-0.1, 1.6, 35)
+    trajs = phase_portrait(geom, band, M_FREE, releases, t_span=0.5)
+    verdicts = [first_integral_status(geom, band, M_FREE, float(theta0), PORTRAIT_BOUNDS)
+                for theta0 in releases]
+    checked = [(v, traj.status) for v, traj in zip(verdicts, trajs) if v is not None]
+    assert all(v == status for v, status in checked), checked
+    assert len(checked) >= 30
+    assert {v for v, _ in checked} == {"escaped", "closed"}
 
 
 # ── sensitivity ───────────────────────────────────────────────────────────

@@ -19,11 +19,16 @@ from sarrusjump import (
     GaussianBand,
     LinearSpring,
     MooneyRivlinBand,
+    phase_portrait,
     sensitivity,
     simulate_jump,
     solve_takeoff,
     stiction_threshold,
+    stored_energy,
+    stretch,
 )
+from sarrusjump.dynamics import _LegDynamics
+from sarrusjump.thrust import leg_forces
 
 from params import nominal_geometry, nominal_masses, sim_options
 
@@ -58,6 +63,25 @@ def designs(draw):
     return geom, law, replace(masses, mu_C=draw(st.floats(0.0, 1.1)) * threshold)
 
 
+def rising_designs():
+    """designs() kept where the net torque from rest at the squat,
+    _LegDynamics.torque at theta0, is positive in both slope conventions:
+    the band lifts the leg, so no draw starts by inverting the knee.
+    designs() itself is left as it is, so its draws do not move."""
+    theta0 = sim_options().theta0
+
+    def lifts(design):
+        geom, law, masses = design
+        dm = _LegDynamics(geom, law, masses)
+        for exact in (False, True):
+            _, co, _, _, _, f_y = leg_forces(geom, law.tension, theta0, exact)
+            if not dm.torque(co, f_y) > 0.0:
+                return False
+        return True
+
+    return designs().filter(lifts)
+
+
 def _outcome(design, record):
     """(summary JSON, terminal value of each column) of one run, or the
     error it raised.
@@ -85,11 +109,25 @@ def test_sparse_and_recorded_runs_agree(design):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(designs(), st.booleans())
+@given(designs())
+def test_takeoff_summaries_hold_the_ballistic_identities(design):
+    """h_max = v0^2 / (2 g) and t_aer = 2 v0 / g hold exactly in every
+    take-off summary."""
+    geom, law, masses = design
+    _, summary = simulate_jump(geom, law, masses, sim_options(step=1e-4, t_max=0.5),
+                               record=False)
+    if summary.termination == TAKE_OFF:
+        assert summary.h_max_m == summary.v0_mps ** 2 / (2 * masses.g)
+        assert summary.t_aer_s == 2 * summary.v0_mps / masses.g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rising_designs(), st.booleans())
 def test_takeoff_solver_agrees_with_the_integrator(design, exact_derivative):
     """solve_takeoff reports the integrator's status for every draw, in both
     slope conventions; where both take off, v0 and t_off agree to 1e-9
-    relative with RK4 at step 1e-5 and event tolerance 1e-12."""
+    relative with RK4 at step 1e-5 and event tolerance 1e-12.  The draws
+    lift the leg from rest, so most reach take-off or the pi/2 stop."""
     geom, law, masses = design
     opts = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.5)
     try:
@@ -140,3 +178,26 @@ def test_undamped_releases_get_the_integrators_status(release, exact_derivative,
                         exact_derivative)
     assert set(curve.status) <= SENSITIVITY_STATUSES
     assert len(curve.status) == len(curve.solver) == 4
+
+
+PORTRAIT_STATUSES = {"closed", "open", "escaped", "damped", "failed"}
+PORTRAIT_RELEASES = (float("nan"), -0.1, 0.066, 0.7, 1.35, 1.6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(designs())
+def test_portraits_mark_failures_and_never_raise(design):
+    """phase_portrait returns one trajectory per release, a NaN release
+    included, each with a documented status, for the drawn masses and
+    undamped; undamped energy drifts by at most 1e-5 of the band energy
+    stored at the squat."""
+    geom, law, masses = design
+    stored = stored_energy(law, stretch(geom, sim_options().theta0))
+    for drawn in (masses, replace(masses, mu_C=0.0)):
+        trajs = phase_portrait(geom, law, drawn, PORTRAIT_RELEASES, t_span=0.2)
+        assert len(trajs) == len(PORTRAIT_RELEASES)
+        assert {traj.status for traj in trajs} <= PORTRAIT_STATUSES
+        assert trajs[0].status == "failed"
+    for traj in trajs[1:]:  # the undamped portrait
+        if traj.status != "failed":
+            assert np.ptp(traj.energy) <= 1e-5 * stored
