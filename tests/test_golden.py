@@ -78,6 +78,13 @@ CASES = {
     "fit_mooney": (["fit", "--data", "{data}"], None, 0),
     "fit_gaussian": (["fit", "--data", "{data}", "--model", "gaussian"], None, 0),
     "mobility": (["mobility", "--lock", "0:B"], None, 0),
+    # Base and top locks on two chains of an irregular five-chain leg: each
+    # alone immobilises, so the pair is redundant.
+    "mobility_redundant": (["mobility", "--chains", "5", "--azimuth-deg", "0",
+                            "--azimuth-deg", "70", "--azimuth-deg", "150",
+                            "--azimuth-deg", "215", "--azimuth-deg", "290",
+                            "--theta", "1.1", "--lock", "0:A", "--lock", "2:C"],
+                           None, 0),
     "thrust_profile": (["thrust-profile"], None, 0),
     "thrust_profile_linear": (["thrust-profile", "--n-samples", "200"], LINEAR, 0),
     # The single-pin knee at the default --theta-min 0, where h = 0.
