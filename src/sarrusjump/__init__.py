@@ -68,15 +68,12 @@ from .geometry import (
 from .screws import (
     ActuationVerdict,
     SarrusMechanism,
-    Screw,
-    ScrewSystem,
     actuation_analysis,
     build_sarrus,
     chain_constraint_screws,
     chain_joint_screws,
     common_constraints,
     dof,
-    intersection_direction,
     mobility_report,
     platform_constraint_system,
     platform_freedoms,

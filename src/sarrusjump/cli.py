@@ -235,7 +235,11 @@ def cmd_mobility(args) -> int:
         locks = []
         for item in args.lock:
             chain, _, joint = item.partition(":")
-            locks.append((int(chain), joint))
+            try:
+                locks.append((int(chain), joint))
+            except ValueError:
+                raise ValueError(f"--lock {item!r}: expected CHAIN:JOINT with an "
+                                 "integer chain, e.g. 0:B") from None
         locks_list = [locks]
     report = screws.mobility_report(mech, locks_list)
     report["azimuths_rad"] = list(azimuths)

@@ -1,19 +1,20 @@
 """Plücker screws, reciprocal systems, and mobility of n-chain Sarrus
 mechanisms.
 
-A screw is a six-component object [S; S0]: S is the axis direction (and
-magnitude), S0 the moment part r x S + pitch * S.  A zero-pitch screw with
-S != 0 is a line (a revolute joint axis or a pure force); a screw with
-S = 0 is a couple (a pure torque or, read as a twist, a pure translation).
-The reciprocal product S1 . S0_2 + S2 . S0_1 is the instantaneous work of a
-wrench on a twist; reciprocal pairs produce none.
+A screw is a 6-vector [S; S0]: S is the axis direction (and magnitude), S0
+the moment part r x S + pitch * S.  A zero-pitch screw with S != 0 is a
+line (a revolute joint axis or a pure force); a screw with S = 0 is a
+couple (a pure torque or, read as a twist, a pure translation).  A screw
+system is a (k, 6) float array, one screw per row.  The reciprocal product
+S1 . S0_2 + S2 . S0_1 is the instantaneous work of a wrench on a twist;
+reciprocal pairs produce none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,133 +36,62 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-@dataclass(frozen=True)
-class Screw:
-    """Six-component screw in Plücker coordinates, stored as (s, s0)."""
-
-    s: np.ndarray
-    s0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s", "s0"):
-            vec = np.array(getattr(self, name), dtype=float).reshape(3)
-            vec.flags.writeable = False
-            object.__setattr__(self, name, vec)
-
-    @classmethod
-    def revolute(cls, axis, point) -> "Screw":
-        """Zero-pitch line screw of a revolute joint: [e; r x e]."""
-        axis = np.asarray(axis, dtype=float)
-        point = np.asarray(point, dtype=float)
-        return cls(axis, _cross(point, axis))
-
-    @classmethod
-    def couple(cls, direction) -> "Screw":
-        """Pure couple [0; e]; as a twist this is a translation along e."""
-        return cls(np.zeros(3), direction)
-
-    @classmethod
-    def from_array(cls, array) -> "Screw":
-        array = np.asarray(array, dtype=float).reshape(6)
-        return cls(array[:3], array[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.s, self.s0])
-
-    @property
-    def pitch(self) -> float:
-        ss = float(self.s @ self.s)
-        if ss == 0.0:
-            raise ValueError("pitch undefined for a couple (S = 0)")
-        return float(self.s @ self.s0) / ss
-
-    def is_line(self, tol: float = _TOL) -> bool:
-        norm = np.linalg.norm(self.s)
-        return norm > tol and abs(float(self.s @ self.s0)) <= tol * max(
-            1.0, norm * np.linalg.norm(self.s0))
-
-    def is_couple(self, tol: float = _TOL) -> bool:
-        return np.linalg.norm(self.s) <= tol and np.linalg.norm(self.s0) > tol
-
-    def normalized(self) -> "Screw":
-        norm = np.linalg.norm(self.as_array())
-        if norm == 0.0:
-            raise ValueError("cannot normalise the zero screw")
-        return Screw(self.s / norm, self.s0 / norm)
+def line(axis, point) -> np.ndarray:
+    """Zero-pitch line screw [e; r x e]: a revolute joint axis through r, or
+    a pure force along e."""
+    axis = np.asarray(axis, dtype=float)
+    return np.concatenate([axis, _cross(np.asarray(point, dtype=float), axis)])
 
 
-def reciprocal_product(s1: Screw, s2: Screw) -> float:
+def couple(direction) -> np.ndarray:
+    """Pure couple [0; e]; as a twist this is a translation along e."""
+    return np.concatenate([np.zeros(3), np.asarray(direction, dtype=float)])
+
+
+def reciprocal_product(x: np.ndarray, y: np.ndarray) -> float:
     """S1 . S0_2 + S2 . S0_1; symmetric; zero for reciprocal pairs."""
-    return float(s1.s @ s2.s0 + s2.s @ s1.s0)
+    return float(x[:3] @ y[3:] + y[:3] @ x[3:])
 
 
-class ScrewSystem:
-    """Ordered screw collection with numeric rank and reciprocal operations."""
+def rank(system: np.ndarray) -> int:
+    """Numeric rank of a (k, 6) screw system by singular values."""
+    return _svd_rank(np.linalg.svd(system, compute_uv=False), system.shape)
 
-    def __init__(self, screws: Iterable[Screw]):
-        self.screws = tuple(screws)
 
-    def __len__(self):
-        return len(self.screws)
+def reciprocal(system: np.ndarray) -> np.ndarray:
+    """All screws reciprocal to every row of a (k, 6) system, as rows.
 
-    def __iter__(self):
-        return iter(self.screws)
+    Solved as the nullspace of system @ P with P the block-swap pairing, so
+    rank(system) + rank(reciprocal(system)) = 6 by construction; an empty
+    system has the identity as its reciprocal.
+    """
+    a = system @ _PAIRING
+    _, sigma, vh = np.linalg.svd(a)
+    return vh[_svd_rank(sigma, a.shape):]
 
-    def __getitem__(self, index):
-        return self.screws[index]
 
-    def matrix(self) -> np.ndarray:
-        """(n, 6) stack of the screws' Plücker coordinates."""
-        if not self.screws:
-            return np.zeros((0, 6))
-        return np.vstack([s.as_array() for s in self.screws])
-
-    def rank(self) -> int:
-        """Numeric rank by singular values."""
-        m = self.matrix()
-        if m.size == 0:
-            return 0
-        return _svd_rank(np.linalg.svd(m, compute_uv=False), m.shape)
-
-    def reciprocal(self) -> "ScrewSystem":
-        """All screws reciprocal to every screw here.
-
-        Solved as the nullspace of M @ P with P the block-swap pairing, so
-        rank(self) + rank(reciprocal) = 6 by construction.
-        """
-        m = self.matrix()
-        if m.size == 0:
-            return ScrewSystem([Screw.from_array(row) for row in np.eye(6)])
-        a = m @ _PAIRING
-        _, sigma, vh = np.linalg.svd(a)
-        rank = _svd_rank(sigma, a.shape)
-        return ScrewSystem([Screw.from_array(row) for row in vh[rank:]])
-
-    def span_matrix(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the screws' span."""
-        m = self.matrix()
-        if m.size == 0:
-            return np.zeros((6, 0))
-        _, sigma, vh = np.linalg.svd(m)
-        return vh[:_svd_rank(sigma, m.shape)].T
+def _span(system: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the rows' span."""
+    _, sigma, vh = np.linalg.svd(system)
+    return vh[:_svd_rank(sigma, system.shape)].T
 
 
 def _svd_rank(sigma: np.ndarray, shape: tuple) -> int:
     """Count of sigma > max(shape) * eps * sigma_max, the numeric rank that
-    rank, reciprocal and span_matrix share."""
+    rank, reciprocal and _span share."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > max(shape) * np.finfo(float).eps * sigma[0]))
 
 
-def subspace_angle(system_a: ScrewSystem, system_b: ScrewSystem) -> float:
+def subspace_angle(system_a: np.ndarray, system_b: np.ndarray) -> float:
     """Largest principal angle (radians) between two screw-system spans.
 
     Measured through the projection residual, which stays resolvable for
     tiny angles where cosines saturate at 1.
     """
-    qa = system_a.span_matrix()
-    qb = system_b.span_matrix()
+    qa = _span(system_a)
+    qb = _span(system_b)
     if qa.shape[1] != qb.shape[1]:
         return math.pi / 2
     if qa.shape[1] == 0:
@@ -169,6 +99,13 @@ def subspace_angle(system_a: ScrewSystem, system_b: ScrewSystem) -> float:
     residual = qb - qa @ (qa.T @ qb)
     s = float(np.linalg.norm(residual, 2))
     return math.asin(min(1.0, s))
+
+
+def _normalized(screw: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(screw)
+    if norm == 0.0:
+        raise ValueError("cannot normalise the zero screw")
+    return screw / norm
 
 
 @dataclass(frozen=True)
@@ -224,22 +161,18 @@ class SarrusMechanism:
                 off = float((r - self.r_A[i]) @ e)
                 if abs(off) > _TOL * max(1.0, float(np.linalg.norm(r))):
                     raise ValueError(f"chain {i} joint {label} leaves its plane")
-        if not any(
-            np.linalg.norm(_cross(self.normals[i], self.normals[j])) > _TOL
-            for i in range(n) for j in range(i + 1, n)
-        ):
-            raise ValueError("all chain planes are parallel: mechanism degenerate")
+        _plane_intersection(self.normals)  # raises if every plane is parallel
 
 
-def intersection_direction(e1, e2) -> np.ndarray:
-    """Unit direction of the intersection line of two planes, e1 x e2 / |.|."""
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    cross = _cross(e1, e2)
-    norm = float(np.linalg.norm(cross))
-    if norm <= _TOL:
-        raise ValueError("parallel planes have no unique intersection direction")
-    return cross / norm
+def _plane_intersection(normals) -> np.ndarray:
+    """Unit e_i x e_j of the first pair of non-parallel chain planes."""
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            cross = _cross(normals[i], normals[j])
+            norm = np.linalg.norm(cross)
+            if norm > _TOL:
+                return cross / norm
+    raise ValueError("all chain planes are parallel: mechanism degenerate")
 
 
 def build_sarrus(n: int, azimuths: Sequence[float], a: float, theta: float,
@@ -273,71 +206,54 @@ def build_sarrus(n: int, azimuths: Sequence[float], a: float, theta: float,
         r_b.append(A + a * math.cos(theta) * radial + a * math.sin(theta) * z)
         r_c.append(A + 2.0 * a * math.sin(theta) * z)
 
-    e_c = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = _cross(normals[i], normals[j])
-            if np.linalg.norm(cross) > _TOL:
-                e_c = cross / np.linalg.norm(cross)
-                break
-        if e_c is not None:
-            break
-    if e_c is None:
-        raise ValueError("all chain planes are parallel: mechanism degenerate")
+    e_c = _plane_intersection(normals)
     if e_c[2] < 0:
         e_c = -e_c
     return SarrusMechanism(tuple(normals), tuple(r_a), tuple(r_b), tuple(r_c), e_c)
 
 
-def chain_joint_screws(mech: SarrusMechanism, i: int) -> ScrewSystem:
-    """Motion screws of chain i: one zero-pitch line per revolute joint."""
+def chain_joint_screws(mech: SarrusMechanism, i: int) -> np.ndarray:
+    """Motion screws of chain i, (3, 6): the joint lines through A, B, C."""
     e = mech.normals[i]
-    return ScrewSystem([
-        Screw.revolute(e, mech.r_A[i]),
-        Screw.revolute(e, mech.r_B[i]),
-        Screw.revolute(e, mech.r_C[i]),
-    ])
+    return np.array([line(e, mech.r_A[i]), line(e, mech.r_B[i]), line(e, mech.r_C[i])])
 
 
-def chain_constraint_screws(mech: SarrusMechanism, i: int) -> ScrewSystem:
+def chain_constraint_screws(mech: SarrusMechanism, i: int) -> np.ndarray:
     """Constraints chain i exerts on the platform (reciprocal of its joints):
     the closed-form triple, a force line through r_C along e_i plus couples
     about e_C and e_C x e_i.  It spans the nullspace of the joint screws
-    under the reciprocal pairing, chain_joint_screws(mech, i).reciprocal().
+    under the reciprocal pairing, reciprocal(chain_joint_screws(mech, i)).
     """
     e = mech.normals[i]
-    return ScrewSystem([
-        Screw.revolute(e, mech.r_C[i]),
-        Screw.couple(mech.e_C),
-        Screw.couple(_cross(mech.e_C, e)),
-    ])
+    return np.array([line(e, mech.r_C[i]), couple(mech.e_C),
+                     couple(_cross(mech.e_C, e))])
 
 
-def platform_constraint_system(mech: SarrusMechanism) -> ScrewSystem:
-    """Union of all chains' constraint screws acting on the platform."""
-    screws = []
-    for i in range(mech.n):
-        screws.extend(chain_constraint_screws(mech, i))
-    return ScrewSystem(screws)
+def _constraint_stack(mech: SarrusMechanism) -> np.ndarray:
+    """(n, 3, 6) constraint triples of every chain, built once per report."""
+    return np.array([chain_constraint_screws(mech, i) for i in range(mech.n)])
 
 
-def common_constraints(mech: SarrusMechanism) -> list[Screw]:
-    """Constraint screws contributed identically by every chain.
+def platform_constraint_system(mech: SarrusMechanism) -> np.ndarray:
+    """Union of all chains' constraint screws acting on the platform, (3n, 6)."""
+    return _constraint_stack(mech).reshape(-1, 6)
+
+
+def common_constraints(mech: SarrusMechanism) -> np.ndarray:
+    """Constraint screws contributed identically by every chain, (k, 6).
 
     For any valid mechanism of this family the couple about e_C is common
     to all chains (the structural over-constraint).
     """
-    common = []
-    for cand in chain_constraint_screws(mech, 0):
-        vec = cand.normalized().as_array()
-        shared = all(
-            any(_parallel(vec, other.normalized().as_array())
-                for other in chain_constraint_screws(mech, i))
-            for i in range(1, mech.n)
-        )
-        if shared:
-            common.append(cand)
-    return common
+    return _common(_constraint_stack(mech))
+
+
+def _common(stack: np.ndarray) -> np.ndarray:
+    """Rows of chain 0's triple parallel to a row of every other chain's."""
+    units = [[_normalized(row) for row in triple] for triple in stack]
+    shared = [all(any(_parallel(cand, other) for other in triple) for triple in units[1:])
+              for cand in units[0]]
+    return stack[0][shared]
 
 
 def _parallel(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
@@ -345,17 +261,17 @@ def _parallel(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
     return int(np.linalg.matrix_rank(np.vstack([x, y]), tol=tol)) == 1
 
 
-def platform_freedoms(mech: SarrusMechanism) -> ScrewSystem:
+def platform_freedoms(mech: SarrusMechanism) -> np.ndarray:
     """Motion screws of the platform: reciprocal of the constraint union.
 
     For a valid Sarrus mechanism this is the single translation along e_C;
     its rank is the platform's number of degrees of freedom.
     """
-    return platform_constraint_system(mech).reciprocal()
+    return reciprocal(platform_constraint_system(mech))
 
 
 def dof(mech: SarrusMechanism) -> int:
-    return 6 - platform_constraint_system(mech).rank()
+    return 6 - rank(platform_constraint_system(mech))
 
 
 _JOINT_NAMES = ("A", "B", "C")
@@ -377,29 +293,33 @@ class ActuationVerdict:
 def actuation_analysis(mech: SarrusMechanism, locks) -> ActuationVerdict:
     """Mobility of the platform when the listed joints are actuator-locked.
 
-    locks is one (chain, joint) pair or a sequence of them, joint in
-    {A, B, C}.  Locking a joint removes its screw from the chain, which
-    enlarges that chain's reciprocal constraint set; rank 6 of the
-    constraint union means the platform is fully determined, so a single
-    lock achieving it suffices to control the mechanism.  redundant flags
-    lock sets whose proper subsets already immobilise.
+    locks is one (chain, joint) pair or a sequence of them, chain an int
+    index and joint in {A, B, C}.  Locking a joint removes its screw from
+    the chain, which enlarges that chain's reciprocal constraint set; rank 6
+    of the constraint union means the platform is fully determined, so a
+    single lock achieving it suffices to control the mechanism.  redundant
+    flags lock sets whose proper subsets already immobilise.
     """
+    stack = _constraint_stack(mech)
+    return _actuation(mech, stack, rank(stack.reshape(-1, 6)), locks)
+
+
+def _actuation(mech, stack, baseline_rank, locks) -> ActuationVerdict:
     locks = _normalize_locks(mech, locks)
-    baseline_rank = platform_constraint_system(mech).rank()
-    rank = _locked_rank(mech, locks)
-    immobilized = rank >= 6
+    locked_rank = _locked_rank(mech, stack, locks)
+    immobilized = locked_rank >= 6
     redundant = False
     if immobilized and len(locks) > 1:
         redundant = any(
-            _locked_rank(mech, locks[:k] + locks[k + 1:]) >= 6
+            _locked_rank(mech, stack, locks[:k] + locks[k + 1:]) >= 6
             for k in range(len(locks))
         )
     return ActuationVerdict(
         locks=locks,
         baseline_rank=baseline_rank,
         baseline_dof=6 - baseline_rank,
-        constraint_rank=rank,
-        dof=6 - rank,
+        constraint_rank=locked_rank,
+        dof=6 - locked_rank,
         immobilized=immobilized,
         redundant=redundant,
     )
@@ -409,7 +329,11 @@ def _normalize_locks(mech, locks) -> tuple:
     if isinstance(locks, tuple) and len(locks) == 2 and isinstance(locks[1], str):
         locks = [locks]
     out = []
-    for chain, joint in locks:
+    for lock in locks:
+        chain, joint = lock
+        if isinstance(chain, bool) or not isinstance(chain, (int, np.integer)):
+            raise ValueError(f"lock {lock!r}: chain index must be an int, "
+                             f"got {type(chain).__name__}")
         chain = int(chain)
         joint = str(joint).upper()
         if not (0 <= chain < mech.n):
@@ -420,54 +344,51 @@ def _normalize_locks(mech, locks) -> tuple:
     return tuple(out)
 
 
-def _locked_rank(mech, locks) -> int:
+def _locked_rank(mech, stack, locks) -> int:
+    """Constraint rank with the locked joints' screws removed: a locked chain
+    gives the reciprocal of its free joints, any other its triple in stack."""
     locked_by_chain: dict[int, set[str]] = {}
     for chain, joint in locks:
         locked_by_chain.setdefault(chain, set()).add(joint)
-    screws = []
+    rows = []
     for i in range(mech.n):
         locked = locked_by_chain.get(i)
         if not locked:
-            screws.extend(chain_constraint_screws(mech, i))
+            rows.append(stack[i])
             continue
-        e = mech.normals[i]
-        points = {"A": mech.r_A[i], "B": mech.r_B[i], "C": mech.r_C[i]}
-        remaining = [Screw.revolute(e, points[name])
-                     for name in _JOINT_NAMES if name not in locked]
-        screws.extend(ScrewSystem(remaining).reciprocal())
-    return ScrewSystem(screws).rank()
+        free = [k for k, name in enumerate(_JOINT_NAMES) if name not in locked]
+        rows.append(reciprocal(chain_joint_screws(mech, i)[free]))
+    return rank(np.vstack(rows))
 
 
 def mobility_report(mech: SarrusMechanism, locks_list=None) -> dict:
     """JSON-ready mobility summary: screws, ranks, common constraints, DOF,
     motion screws, and optional actuation verdicts."""
-    constraints = platform_constraint_system(mech)
-    freedoms = constraints.reciprocal()
-    rank = constraints.rank()
+    stack = _constraint_stack(mech)
+    constraints = stack.reshape(-1, 6)
+    freedoms = reciprocal(constraints)
+    constraint_rank = rank(constraints)
     chains = []
     for i in range(mech.n):
         chains.append({
             "normal": mech.normals[i].tolist(),
-            "joint_screws": [s.as_array().tolist()
-                             for s in chain_joint_screws(mech, i)],
-            "constraint_screws": [s.as_array().tolist()
-                                  for s in chain_constraint_screws(mech, i)],
+            "joint_screws": chain_joint_screws(mech, i).tolist(),
+            "constraint_screws": stack[i].tolist(),
         })
     report = {
         "n_chains": mech.n,
         "e_C": mech.e_C.tolist(),
-        "constraint_rank": rank,
-        "degenerate": rank < 5,
-        "dof": 6 - rank,
-        "common_constraints": [s.as_array().tolist()
-                               for s in common_constraints(mech)],
-        "motion_screws": [s.normalized().as_array().tolist() for s in freedoms],
+        "constraint_rank": constraint_rank,
+        "degenerate": constraint_rank < 5,
+        "dof": 6 - constraint_rank,
+        "common_constraints": _common(stack).tolist(),
+        "motion_screws": [_normalized(row).tolist() for row in freedoms],
         "chains": chains,
     }
     if locks_list:
         verdicts = []
         for locks in locks_list:
-            v = actuation_analysis(mech, locks)
+            v = _actuation(mech, stack, constraint_rank, locks)
             verdicts.append({
                 "locks": [[c, j] for c, j in v.locks],
                 "constraint_rank": v.constraint_rank,

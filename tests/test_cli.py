@@ -153,6 +153,7 @@ def test_bad_number_is_a_config_error(tmp_path, capsys):
     (["phase-portrait", "--portrait-step", "0"], "step must be positive, got 0.0"),
     (["phase-portrait", "--t-span", "-1"], "t_span must be positive, got -1.0"),
     (["mobility", "--base-radius", "nan"], "base_radius must be a finite number, got nan"),
+    (["mobility", "--lock", "x:B"], "--lock 'x:B': expected CHAIN:JOINT"),
 ])
 def test_bad_analysis_input_is_an_error(tmp_path, capsys, argv, message):
     data = tmp_path / "band.csv"

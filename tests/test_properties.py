@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarrusjump import (
+    STICTION,
     SWEEPABLE_PARAMETERS,
     TAKE_OFF,
     GaussianBand,
@@ -119,6 +120,30 @@ def test_takeoff_summaries_hold_the_ballistic_identities(design):
     if summary.termination == TAKE_OFF:
         assert summary.h_max_m == summary.v0_mps ** 2 / (2 * masses.g)
         assert summary.t_aer_s == 2 * summary.v0_mps / masses.g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(designs())
+def test_energy_audit_residual_closes_at_fourth_order(design):
+    """The audit residual, thrust work less the kinetic, gravity and
+    friction terms, is the integrator's error: relative to the largest term
+    it falls by at least 12x from step 1e-4 to 5e-5 (2^4 = 16 for RK4)
+    wherever it exceeds roundoff, 1e-11, at step 1e-4.  Stiction draws
+    never move, so every term is 0."""
+    geom, law, masses = design
+    relative = []
+    for step in (1e-4, 5e-5):
+        _, summary = simulate_jump(geom, law, masses,
+                                   sim_options(step=step, t_max=0.5, event_tolerance=1e-12),
+                                   record=False)
+        if summary.termination == STICTION:
+            return
+        audit = summary.audit
+        largest = max(abs(audit.thrust_work_J), abs(audit.kinetic_J),
+                      abs(audit.gravity_delta_J), abs(audit.friction_work_J))
+        relative.append(abs(audit.residual_J) / largest)
+    if relative[0] > 1e-11:
+        assert relative[0] / relative[1] >= 12.0, relative
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,67 +1,73 @@
 """Screw algebra and mobility of n-chain Sarrus mechanisms.
 
-Proves, among others:
-  - reciprocal product identities and screw classification
+Screws are 6-vectors and screw systems (k, 6) arrays.  Proves, among
+others:
+  - reciprocal product identities
   - rank(joint system) + rank(reciprocal system) = 6 for every chain
   - analytic constraint triples annihilate their chain's joint screws and
     span the same space as the numeric nullspace path
   - constraint rank 5 and a single translation along e_C for n = 2..5,
     three leg angles, and 100 randomised azimuth sets
-  - locking one knee joint raises the constraint rank to six
+  - locking one knee joint raises the constraint rank to six, and every
+    single lock gives the rank of the numeric nullspace path
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sarrusjump import (
     SarrusMechanism,
-    Screw,
     actuation_analysis,
     build_sarrus,
     chain_constraint_screws,
     chain_joint_screws,
     common_constraints,
     dof,
-    intersection_direction,
     mobility_report,
     platform_constraint_system,
     platform_freedoms,
     reciprocal_product,
     subspace_angle,
 )
-from sarrusjump.screws import _cross
+from sarrusjump.screws import _cross, _span, couple, line, rank, reciprocal
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 S1_AZIMUTHS = [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
+LEG_ANGLES = (0.2, 0.8, 1.4)
 
 
 def s1_mechanism(theta=0.8):
     return build_sarrus(3, S1_AZIMUTHS, a=1.0, theta=theta)
 
 
+def unit(screw):
+    return screw / np.linalg.norm(screw)
+
+
 # ── screw primitives ──────────────────────────────────────────────────────
 
 def test_reciprocal_product_of_two_couples_is_zero():
-    assert reciprocal_product(Screw.couple(X), Screw.couple(X)) == 0.0
-    assert reciprocal_product(Screw.couple(X), Screw.couple(Y)) == 0.0
+    assert reciprocal_product(couple(X), couple(X)) == 0.0
+    assert reciprocal_product(couple(X), couple(Y)) == 0.0
 
 
 def test_reciprocal_product_line_with_couple():
-    line_x = Screw.revolute(X, np.zeros(3))
-    assert reciprocal_product(line_x, Screw.couple(X)) == pytest.approx(1.0)
-    assert reciprocal_product(Screw.couple(X), line_x) == pytest.approx(1.0)
+    line_x = line(X, np.zeros(3))
+    assert reciprocal_product(line_x, couple(X)) == pytest.approx(1.0)
+    assert reciprocal_product(couple(X), line_x) == pytest.approx(1.0)
 
 
 def test_reciprocal_product_symmetry():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        s1 = Screw(rng.standard_normal(3), rng.standard_normal(3))
-        s2 = Screw(rng.standard_normal(3), rng.standard_normal(3))
+        s1 = np.concatenate([rng.standard_normal(3), rng.standard_normal(3)])
+        s2 = np.concatenate([rng.standard_normal(3), rng.standard_normal(3)])
         assert reciprocal_product(s1, s2) == pytest.approx(
             reciprocal_product(s2, s1), rel=1e-12)
 
@@ -80,33 +86,6 @@ def test_cross_helper_equals_np_cross():
         assert got.tobytes() == np.cross(a, b).tobytes()
 
 
-def test_screw_classification():
-    line = Screw.revolute(Y, np.array([2.0, 0.0, 1.0]))
-    assert line.is_line() and not line.is_couple()
-    assert line.pitch == pytest.approx(0.0, abs=1e-15)
-    couple = Screw.couple(Z)
-    assert couple.is_couple() and not couple.is_line()
-    with pytest.raises(ValueError):
-        couple.pitch
-
-
-def test_screw_array_round_trip():
-    s = Screw(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-    assert np.array_equal(Screw.from_array(s.as_array()).as_array(), s.as_array())
-    assert np.linalg.norm(s.normalized().as_array()) == pytest.approx(1.0)
-
-
-def test_intersection_direction():
-    assert np.allclose(intersection_direction(X, Y), Z)
-    with pytest.raises(ValueError):
-        intersection_direction(X, X)
-    e1 = np.array([math.sin(0.0), -math.cos(0.0), 0.0])
-    az = 2 * math.pi / 3
-    e2 = np.array([math.sin(az), -math.cos(az), 0.0])
-    direction = intersection_direction(e1, e2)
-    assert abs(abs(direction @ Z) - 1.0) < 1e-12  # vertical up to sign
-
-
 # ── chains ────────────────────────────────────────────────────────────────
 
 def test_joint_screw_at_origin_has_no_moment():
@@ -116,35 +95,35 @@ def test_joint_screw_at_origin_has_no_moment():
         tuple(np.zeros(3) for _ in range(3)),
         mech.r_B, mech.r_C, mech.e_C, strict=False)
     s = chain_joint_screws(shifted, 0)[0]
-    assert np.allclose(s.s0, 0.0)
+    assert np.allclose(s[3:], 0.0)
 
 
 def test_chain_joint_screws_rank_three():
     mech = s1_mechanism()
     for i in range(3):
-        assert chain_joint_screws(mech, i).rank() == 3
+        assert rank(chain_joint_screws(mech, i)) == 3
 
 
 def test_degenerate_chain_rank_two():
     mech = s1_mechanism()
     degenerate = SarrusMechanism(mech.normals, mech.r_A, mech.r_A, mech.r_C,
                                  mech.e_C, strict=False)  # knee on the base joint
-    assert chain_joint_screws(degenerate, 0).rank() == 2
+    assert rank(chain_joint_screws(degenerate, 0)) == 2
 
 
 def test_rank_sum_identity_per_chain():
     mech = s1_mechanism()
     for i in range(mech.n):
         joints = chain_joint_screws(mech, i)
-        assert joints.rank() + joints.reciprocal().rank() == 6
+        assert rank(joints) + rank(reciprocal(joints)) == 6
 
 
 def test_analytic_constraints_annihilate_joint_screws():
-    for theta in (0.2, 0.8, 1.4):
+    for theta in LEG_ANGLES:
         mech = s1_mechanism(theta)
         for i in range(mech.n):
-            joints = [s.normalized() for s in chain_joint_screws(mech, i)]
-            constraints = [s.normalized() for s in chain_constraint_screws(mech, i)]
+            joints = [unit(s) for s in chain_joint_screws(mech, i)]
+            constraints = [unit(s) for s in chain_constraint_screws(mech, i)]
             for c in constraints:
                 for j in joints:
                     assert abs(reciprocal_product(c, j)) < 1e-12
@@ -154,8 +133,8 @@ def test_numeric_constraints_span_analytic_space():
     mech = s1_mechanism()
     for i in range(mech.n):
         analytic = chain_constraint_screws(mech, i)
-        numeric = chain_joint_screws(mech, i).reciprocal()
-        assert analytic.rank() == 3 and numeric.rank() == 3
+        numeric = reciprocal(chain_joint_screws(mech, i))
+        assert rank(analytic) == 3 and rank(numeric) == 3
         assert subspace_angle(analytic, numeric) < 1e-10
 
 
@@ -163,18 +142,18 @@ def test_numeric_constraints_span_analytic_space():
 
 def test_classical_two_chain_rank_five():
     mech = build_sarrus(2, [0.0, math.pi / 2], a=1.0, theta=0.8)
-    assert platform_constraint_system(mech).rank() == 5
+    assert rank(platform_constraint_system(mech)) == 5
     assert dof(mech) == 1
 
 
 def test_s1_rank_five_with_common_couple():
     mech = s1_mechanism()
-    assert platform_constraint_system(mech).rank() == 5
+    assert rank(platform_constraint_system(mech)) == 5
     shared = common_constraints(mech)
     assert len(shared) == 1
     s = shared[0]
-    assert s.is_couple()
-    assert abs(abs(float(s.normalized().s0 @ mech.e_C)) - 1.0) < 1e-12
+    assert np.linalg.norm(s[:3]) <= 1e-9 < np.linalg.norm(s[3:])  # a couple
+    assert abs(abs(float(unit(s)[3:] @ mech.e_C)) - 1.0) < 1e-12
 
 
 def test_parallel_planes_degenerate_rank():
@@ -190,8 +169,7 @@ def test_parallel_planes_degenerate_rank():
     e2, A2, B2, C2 = chain(math.pi)
     mech = SarrusMechanism((e1, e2), (A1, A2), (B1, B2), (C1, C2), z,
                            strict=False)
-    rank = platform_constraint_system(mech).rank()
-    assert rank < 5
+    assert rank(platform_constraint_system(mech)) < 5
     report = mobility_report(mech)
     assert report["degenerate"] is True
 
@@ -204,17 +182,17 @@ def test_platform_translation_along_common_axis():
         mech = build_sarrus(n, azimuths, a=1.0, theta=0.8)
         freedoms = platform_freedoms(mech)
         assert len(freedoms) == 1
-        motion = freedoms[0].normalized()
-        assert np.linalg.norm(motion.s) < 1e-12  # pure translation
-        assert abs(abs(float(motion.s0 @ mech.e_C)) - 1.0) < 1e-12
+        motion = unit(freedoms[0])
+        assert np.linalg.norm(motion[:3]) < 1e-12  # pure translation
+        assert abs(abs(float(motion[3:] @ mech.e_C)) - 1.0) < 1e-12
 
 
 def test_motion_screw_unchanged_across_configurations():
     screws = []
-    for theta in (0.2, 0.8, 1.4):
+    for theta in LEG_ANGLES:
         mech = build_sarrus(3, S1_AZIMUTHS, a=1.0, theta=theta)
-        motion = platform_freedoms(mech)[0].normalized()
-        screws.append(motion.as_array() * np.sign(motion.s0[2]))
+        motion = unit(platform_freedoms(mech)[0])
+        screws.append(motion * np.sign(motion[5]))
     assert np.allclose(screws[0], screws[1], atol=1e-12)
     assert np.allclose(screws[0], screws[2], atol=1e-12)
 
@@ -229,27 +207,31 @@ def test_mobility_invariant_under_random_azimuths():
                            for i in range(n) for j in range(i + 1, n))
             if distinct:
                 break
-        theta = float(rng.choice([0.2, 0.8, 1.4]))
+        theta = float(rng.choice(LEG_ANGLES))
         mech = build_sarrus(n, azimuths.tolist(), a=1.0, theta=theta)
         constraints = platform_constraint_system(mech)
-        assert constraints.rank() == 5
+        assert rank(constraints) == 5
         freedoms = platform_freedoms(mech)
         assert len(freedoms) == 1
-        motion = freedoms[0].normalized()
-        assert np.linalg.norm(motion.s) < 1e-9
-        assert abs(abs(float(motion.s0 @ mech.e_C)) - 1.0) < 1e-9
+        motion = unit(freedoms[0])
+        assert np.linalg.norm(motion[:3]) < 1e-9
+        assert abs(abs(float(motion[3:] @ mech.e_C)) - 1.0) < 1e-9
 
 
 def test_span_matrix_width_equals_rank():
-    """rank and span_matrix share one threshold."""
+    """rank and the span basis share one threshold."""
     system = platform_constraint_system(s1_mechanism())
-    assert system.span_matrix().shape[1] == system.rank()
+    assert _span(system).shape[1] == rank(system)
 
 
 def test_rank_and_reciprocal_rank_sum_to_six():
-    """rank(system) + rank(reciprocal) = 6 on the platform constraint union."""
+    """rank(system) + rank(reciprocal) = 6 on the platform constraint union
+    and on the empty system, whose reciprocal is every screw."""
     system = platform_constraint_system(s1_mechanism())
-    assert system.rank() + len(system.reciprocal()) == 6
+    assert rank(system) + len(reciprocal(system)) == 6
+    empty = np.zeros((0, 6))
+    assert rank(empty) == 0
+    assert np.array_equal(reciprocal(empty), np.eye(6))
 
 
 # ── actuation ─────────────────────────────────────────────────────────────
@@ -279,6 +261,34 @@ def test_lock_validation():
         actuation_analysis(s1_mechanism(), (7, "B"))
     with pytest.raises(ValueError):
         actuation_analysis(s1_mechanism(), (0, "D"))
+    # Chain indices are integers: no float, bool or string is truncated or
+    # parsed into one.
+    for lock in ((0.9, "B"), (True, "B"), ("2", "C")):
+        with pytest.raises(ValueError, match=re.escape(f"lock {lock!r}")):
+            actuation_analysis(s1_mechanism(), lock)
+        with pytest.raises(ValueError, match=re.escape(f"lock {lock!r}")):
+            actuation_analysis(s1_mechanism(), [(1, "A"), lock])
+    assert actuation_analysis(s1_mechanism(), (np.int64(2), "c")).locks == ((2, "C"),)
+
+
+def test_locked_rank_matches_the_numeric_nullspace():
+    """Every single lock of n = 2..8 chains at three leg angles gives the
+    rank of the union of each chain's numeric reciprocal, the locked
+    joint's screw removed; actuation_analysis uses the closed-form triple
+    for the unlocked chains."""
+    for n in range(2, 9):
+        azimuths = [2 * math.pi * (j + 0.25 * math.sin(3.0 * j + 1.0)) / n
+                    for j in range(n)]
+        for theta in LEG_ANGLES:
+            mech = build_sarrus(n, azimuths, a=1.0, theta=theta)
+            for chain in range(n):
+                for k, joint in enumerate("ABC"):
+                    union = np.vstack([
+                        reciprocal(np.delete(chain_joint_screws(mech, i),
+                                             [k] if i == chain else [], axis=0))
+                        for i in range(n)])
+                    verdict = actuation_analysis(mech, (chain, joint))
+                    assert verdict.constraint_rank == rank(union), (n, theta, chain, joint)
 
 
 # ── construction and reporting ────────────────────────────────────────────
@@ -294,6 +304,17 @@ def test_build_sarrus_validation():
         build_sarrus(2, [0.0, 1.0], a=-1.0, theta=0.8)
     with pytest.raises(ValueError):
         build_sarrus(2, [0.0, 1.0], a=1.0, theta=2.0)
+
+
+def test_build_sarrus_axis_is_the_plane_intersection():
+    """e_C is the unit intersection direction of the chain planes, turned
+    to point up: vertical for chain planes standing on the base."""
+    for n, azimuths in ((2, [0.0, math.pi / 2]), (3, S1_AZIMUTHS),
+                        (2, [0.0, 2 * math.pi / 3]), (4, [2.0, 0.3, 5.0, 1.0])):
+        mech = build_sarrus(n, azimuths, a=1.0, theta=0.8)
+        cross = np.cross(mech.normals[0], mech.normals[1])
+        assert np.allclose(mech.e_C, cross / np.linalg.norm(cross) * np.sign(cross[2]))
+        assert abs(float(mech.e_C @ Z) - 1.0) < 1e-12
 
 
 def test_mechanism_invariants_enforced():
