@@ -56,6 +56,9 @@ CASES = {
                                   "--set", "masses.mu_C=0"] + FAST, None, 2),
     "simulate_knee_inversion": (["simulate", "--exact-derivative",
                                  "--set", "masses.mu_C=0"] + FAST, None, 2),
+    # The exact slope convention through to take-off.
+    "simulate_exact": (["simulate", "--exact-derivative", "--set", "sim.theta0=0.3"]
+                       + FAST, None, 0),
     "simulate_horizon": (["simulate", "--set", "sim.t_max=0.05"] + FAST, None, 2),
     "simulate_stiction": (["simulate", "--set", "masses.mu_C=1"] + FAST, None, 2),
     "simulate_contact_lost": (["simulate"], COLLAPSE, 2),
