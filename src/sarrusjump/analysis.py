@@ -14,6 +14,7 @@ from .dynamics import (  # noqa: F401  perfbench traces analysis.simulate_jump
     TAKE_OFF,
     MassModel,
     SimOptions,
+    _brentq,
     _integrate_raw,
     _LegDynamics,
     simulate_jump,
@@ -38,6 +39,12 @@ THETA0_SWEEP_RANGE = (0.01, 1.3)
 SENSITIVITY_CSV_HEADER = ("parameter", "proportion", "eta_pct", "status")
 PORTRAIT_CSV_HEADER = ("t", "theta", "theta_dot", "energy")
 
+# A portrait trajectory escapes when theta leaves these bounds, and an
+# undamped one closes when a turning point lands this near its release.
+_PORTRAIT_BOUNDS = (-0.15, math.pi / 2 + 0.1)
+_CLOSURE_TOL = 1e-3
+_IDENTIFY_RTOL = 1e-6  # relative tolerance of identify_mu's Brent search in mu_C
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -52,66 +59,12 @@ def _undamped(masses: MassModel) -> MassModel:
     return masses if masses.mu_C == 0.0 else replace(masses, mu_C=0.0)
 
 
-_BRENT_XTOL = 1e-14
-_BRENT_MAXITER = 100
-
-
-def _brentq(f, xa, xb, rtol=4 * np.finfo(float).eps):
-    """Root of f in [xa, xb]: a step-for-step port of scipy.optimize.brentq
-    at xtol=_BRENT_XTOL and maxiter=_BRENT_MAXITER, with the same floats and
-    the same ValueError (NaN, no sign change) and RuntimeError."""
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"function value at x={x:.6g} is NaN; solver cannot continue")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
-
-
 def find_equilibria(
     geom: LinkageGeometry,
     model: ElasticModel,
     masses: MassModel,
     interval: LegAngleInterval,
     n_scan: int = 2000,
-    exact_derivative: bool = False,
 ) -> list[Equilibrium]:
     """Equilibria of the undamped dynamics on the interval.
 
@@ -122,14 +75,14 @@ def find_equilibria(
     center.  Friction is ignored here because the Coulomb term is not
     differentiable at rest.
     """
-    dm = _LegDynamics(geom, model, _undamped(masses), exact_derivative)
+    dm = _LegDynamics(geom, model, _undamped(masses))
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th, exact_derivative)
+        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th)
         return dm.torque(co, f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
-    _, co, _, _, _, f_y = leg_forces_array(geom, model, grid, exact_derivative)
+    _, co, _, _, _, f_y = leg_forces_array(geom, model, grid)
     values = dm.torque(co, f_y)  # torque(grid), to the bit
     scale = float(np.max(np.abs(values))) or 1.0
 
@@ -190,9 +143,6 @@ def phase_portrait(
     theta0_values: Sequence[float],
     t_span: float = 1.5,
     step: float = 2e-4,
-    bounds: tuple[float, float] = (-0.15, math.pi / 2 + 0.1),
-    closure_tol: float = 1e-3,
-    exact_derivative: bool = False,
 ) -> list[PortraitTrajectory]:
     """Trace the leg dynamics from a grid of release angles.
 
@@ -205,22 +155,22 @@ def phase_portrait(
     """
     t_span = finite("t_span", t_span, "positive")
     step = finite("step", step, "positive")
-    dm = _LegDynamics(geom, model, masses, exact_derivative)
+    dm = _LegDynamics(geom, model, masses)
     undamped = masses.mu_C == 0.0
     out = []
     for theta0 in theta0_values:
         theta0 = float(theta0)
         try:
-            out.append(_trace(dm, theta0, undamped, t_span, step, bounds, closure_tol))
+            out.append(_trace(dm, theta0, undamped, t_span, step))
         except Exception:
             empty = np.array([])
             out.append(PortraitTrajectory(theta0, empty, empty, empty, empty, "failed"))
     return out
 
 
-def _trace(dm, theta0, undamped, t_span, step, bounds, closure_tol):
+def _trace(dm, theta0, undamped, t_span, step):
     t_f, th_f, om_f, en_f, exited_f = _integrate_raw(
-        dm, theta0, 0.0, t_span, step, bounds)
+        dm, theta0, 0.0, t_span, step, _PORTRAIT_BOUNDS)
     if not np.all(np.isfinite(th_f)):
         raise FloatingPointError(f"non-finite state from release {theta0}")
     if undamped:
@@ -236,7 +186,7 @@ def _trace(dm, theta0, undamped, t_span, step, bounds, closure_tol):
         if exited_f:
             status = "escaped"
         else:
-            status = "closed" if _returns_to_start(th_f, om_f, theta0, closure_tol) else "open"
+            status = "closed" if _returns_to_start(th_f, om_f, theta0, _CLOSURE_TOL) else "open"
     else:
         t, theta, omega, energy = t_f, th_f, om_f, en_f
         status = "escaped" if exited_f else "damped"
@@ -288,7 +238,6 @@ def sensitivity(
     parameter: str,
     proportions: Sequence[float],
     options: SimOptions,
-    exact_derivative: bool = False,
 ) -> SensitivityCurve:
     """Efficiency of the undamped jump as one parameter scales from nominal.
 
@@ -306,7 +255,7 @@ def sensitivity(
         prop = float(prop)
         try:
             g_i, m_i, o_i, value = _scaled(geom, base_masses, options, parameter, prop)
-            state = solve_takeoff(g_i, model, m_i, o_i, exact_derivative)
+            state = solve_takeoff(g_i, model, m_i, o_i)
             etas.append(state.eta_pct)
             statuses.append("ok" if state.termination == TAKE_OFF
                             else state.termination.lower())
@@ -339,10 +288,9 @@ def stiction_threshold(
     model: ElasticModel,
     masses: MassModel,
     theta0: float,
-    exact_derivative: bool = False,
 ) -> float:
     """Largest mu_C that still lets decompression start from rest at theta0."""
-    dm = _LegDynamics(geom, model, _undamped(masses), exact_derivative)
+    dm = _LegDynamics(geom, model, _undamped(masses))
     return dm.static_margin(dm.derivatives(theta0, 0.0))
 
 
@@ -352,8 +300,6 @@ def identify_mu(
     masses: MassModel,
     target_v0: float,
     options: SimOptions,
-    rel_tol: float = 1e-6,
-    exact_derivative: bool = False,
 ) -> float:
     """Coulomb coefficient whose take-off velocity (solve_takeoff) hits
     target_v0.
@@ -364,8 +310,7 @@ def identify_mu(
     """
 
     def v0_at(mu):
-        return solve_takeoff(geom, model, replace(masses, mu_C=mu), options,
-                             exact_derivative).v0_mps
+        return solve_takeoff(geom, model, replace(masses, mu_C=mu), options).v0_mps
 
     v0_free = v0_at(0.0)
     if math.isnan(v0_free):
@@ -376,8 +321,7 @@ def identify_mu(
     if abs(target_v0 - v0_free) <= 1e-9 * v0_free:
         return 0.0
 
-    mu_max = stiction_threshold(geom, model, masses, options.theta0,
-                                exact_derivative)
+    mu_max = stiction_threshold(geom, model, masses, options.theta0)
     mu_hi = mu_max
     v0_hi = math.nan
     for shrink in (1.0 - 1e-9, 1.0 - 1e-3, 0.99, 0.9):
@@ -390,5 +334,4 @@ def identify_mu(
             f"target v0 {target_v0} below the slowest damped jump "
             f"({v0_hi:.6g} m/s just under the stiction threshold)")
 
-    return _brentq(lambda mu: v0_at(mu) - target_v0, 0.0, mu_hi,
-                   rtol=max(rel_tol, 8.9e-16))
+    return _brentq(lambda mu: v0_at(mu) - target_v0, 0.0, mu_hi, rtol=_IDENTIFY_RTOL)

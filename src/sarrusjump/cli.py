@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one decompression-to-flight run")
     _add_common(p)
-    p.add_argument("--exact-derivative", action="store_true",
-                   help="use the full chain-rule thrust derivative")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("thrust-profile", help="thrust force over the leg swing")
@@ -127,8 +125,7 @@ def _outdir(args) -> Path:
 def cmd_simulate(args) -> int:
     run = _load(args)
     out = _outdir(args)
-    traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
-                                  exact_derivative=args.exact_derivative)
+    traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim)
     write_csv(out / "trajectory.csv", TRAJECTORY_CSV_HEADER, traj.columns())
     write_json(out / "summary.json", summary.to_dict())
     print(f"wrote {out / 'trajectory.csv'}")

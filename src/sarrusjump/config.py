@@ -26,6 +26,7 @@ DEFAULT_CONFIG = {
         "q": 0.50e-2,
         "l0": 8.50e-2,
         "A0": 7.0e-6,
+        "exact_derivative": False,
     },
     "masses": {
         "m1": 2.70e-3,

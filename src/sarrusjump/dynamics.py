@@ -234,10 +234,9 @@ class _LegDynamics:
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "tension", "energy", "exact")
+                 "I4", "geom", "model", "tension", "energy")
 
-    def __init__(self, geom: LinkageGeometry, model: ElasticModel,
-                 masses: MassModel, exact: bool = False):
+    def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
         self.a = geom.a
         self.a2 = geom.a * geom.a
         self.p = geom.p
@@ -251,13 +250,12 @@ class _LegDynamics:
         self.model = model
         self.tension = model.tension
         self.energy = model.energy
-        self.exact = exact
 
     def derivatives(self, theta, theta_dot):
         """(theta_dot, theta_ddot, friction power, thrust power, sin, cos,
         h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then the
         kernel values behind it, passed through without extra arithmetic."""
-        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.tension, theta, self.exact)
+        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.tension, theta)
         sin2 = 2.0 * s * co
         cos2 = co * co - s * s
         denom = self.a2 * (4.0 * self.M1 * cos2 + self.M2) + self.I4
@@ -272,11 +270,11 @@ class _LegDynamics:
         return (theta_dot, tdd, self.mu_C * abs(theta_dot), f_y * h_dot,
                 s, co, h, lam, f_l, f_y, h_dot)
 
-    def derivatives_array(self, theta, theta_dot):
-        """derivatives() over arrays of states: the same arithmetic through
-        leg_forces_array and inertia, so every column equals the scalar
-        tuple's to the bit."""
-        s, co, h, lam, f_l, f_y = leg_forces_array(self.geom, self.model, theta, self.exact)
+    def derivatives_array(self, forces, theta_dot):
+        """derivatives() over arrays of states, from the leg_forces_array
+        tuple forces of their leg angles: the same arithmetic through
+        inertia, so every column equals the scalar tuple's to the bit."""
+        s, co, h, lam, f_l, f_y = forces
         sin2 = 2.0 * s * co
         num = (
             4.0 * self.M1 * self.a2 * sin2 * theta_dot * theta_dot
@@ -393,7 +391,6 @@ def integrate_decompression(
     model: ElasticModel,
     masses: MassModel,
     options: SimOptions,
-    exact_derivative: bool = False,
     record: bool = True,
 ) -> Trajectory:
     """Integrate the decompression phase from rest at theta0 to the first
@@ -408,7 +405,7 @@ def integrate_decompression(
 
     With record=False only the initial and terminal rows are kept.
     """
-    dm = _LegDynamics(geom, model, masses, exact_derivative)
+    dm = _LegDynamics(geom, model, masses)
     th0 = options.theta0
     dt_nom = options.step
     tol_t = options.event_tolerance
@@ -524,7 +521,6 @@ def simulate_jump(
     model: ElasticModel,
     masses: MassModel,
     options: SimOptions,
-    exact_derivative: bool = False,
     record: bool = True,
 ) -> tuple[Trajectory, JumpSummary]:
     """Decompression, momentum transfer, ballistic flight and efficiency.
@@ -533,9 +529,7 @@ def simulate_jump(
     the first E_band row; any band energy still unreleased at take-off is
     reported in the audit rather than subtracted.
     """
-    traj = integrate_decompression(geom, model, masses, options,
-                                   exact_derivative=exact_derivative,
-                                   record=record)
+    traj = integrate_decompression(geom, model, masses, options, record=record)
     e_p0 = float(traj.E_band[0])
     took_off = traj.termination == TAKE_OFF
 
@@ -613,6 +607,9 @@ _GRADED_PIECES = 30
 # share of m_T g and of the largest T on the way: far above the
 # interpolation error, and above the integrator's energy drift.
 _MARGIN = 1e-6
+# The absolute tolerance and iteration cap of _brentq.
+_BRENT_XTOL = 1e-14
+_BRENT_MAXITER = 100
 
 
 @functools.lru_cache(maxsize=None)
@@ -648,12 +645,60 @@ def _chebyshev_value(coefficients, x):
     return (np.cos(np.multiply.outer(angle, np.arange(len(coefficients)))) * coefficients).sum(-1)
 
 
+def _brentq(f, xa, xb, rtol=4 * np.finfo(float).eps):
+    """Root of f in [xa, xb]: a step-for-step port of scipy.optimize.brentq
+    at xtol=_BRENT_XTOL and maxiter=_BRENT_MAXITER, with the same floats and
+    the same ValueError (NaN, no sign change) and RuntimeError."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"function value at x={x:.6g} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
 def solve_takeoff(
     geom: LinkageGeometry,
     model: ElasticModel,
     masses: MassModel,
     options: SimOptions,
-    exact_derivative: bool = False,
 ) -> TakeOffState:
     """Take-off of simulate_jump(record=False) from the first integral,
     without time stepping.
@@ -674,12 +719,11 @@ def solve_takeoff(
     zero with the head falling, a damped reversal, a band still taut at
     pi/2, and a never-take-off verdict within _MARGIN.
     """
-    dm = _LegDynamics(geom, model, masses, exact_derivative)
+    dm = _LegDynamics(geom, model, masses)
     d0 = dm.derivatives(options.theta0, 0.0)
     found = _first_integral_takeoff(dm, options, d0)
     if found is None:
-        _, summary = simulate_jump(geom, model, masses, options,
-                                   exact_derivative=exact_derivative, record=False)
+        _, summary = simulate_jump(geom, model, masses, options, record=False)
         return TakeOffState(summary.termination, summary.t_off_s, summary.v0_mps,
                             summary.eta_pct, "rk4")
     t_off, h_dot_off = found
@@ -695,8 +739,6 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     """(t_off, h_dot at take-off) on the first integral, t_off = inf where
     the leg never takes off, or None where solve_takeoff falls back to the
     integrator; d0 = dm.derivatives at (theta0, 0)."""
-    from .analysis import _brentq  # analysis imports this module
-
     th0 = options.theta0
     geom = dm.geom
     if dm.static_margin(d0) <= 0.0:
@@ -722,13 +764,14 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     lo, half = edges[:-1], 0.5 * np.diff(edges)
     s = lo[:, None] + half[:, None] * (x + 1.0)
     theta = th0 + sigma * s * s
-    sin_th, cos_th, _, _, _, f_y = leg_forces_array(geom, dm.model, theta, dm.exact)
+    forces = leg_forces_array(geom, dm.model, theta)
+    sin_th, cos_th, _, _, _, f_y = forces
     inertia = dm.inertia(sin_th, cos_th)
     energy = _integral(2.0 * s * (sigma * dm.torque(cos_th, f_y) - dm.mu_C), half)
     start = np.concatenate([[0.0], np.cumsum(energy.sum(-1))[:-1]])
     kinetic = start[:, None] + np.einsum("pj,jk->pk", energy, at_nodes)
     theta_dot = sigma * np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
-    f_n = dm.reaction(dm.derivatives_array(theta, theta_dot))[1].ravel()
+    f_n = dm.reaction(dm.derivatives_array(forces, theta_dot))[1].ravel()
     s_flat, t_flat, breaks = s.ravel(), kinetic.ravel(), edges.tolist()
     turn = np.flatnonzero(t_flat <= 0.0)
     turn = turn[0] if turn.size else t_flat.size  # first node past a turning point

@@ -36,14 +36,20 @@ def finite(name: str, value, sign: str = "") -> float:
     return number
 
 
-def finite_fields(obj, positive=(), non_negative=()) -> None:
+def finite_fields(obj, positive=(), non_negative=(), flags=()) -> None:
     """Store each field of the frozen dataclass obj as finite(name, value),
-    signed as the positive and non_negative name lists say."""
+    signed as the positive and non_negative name lists say; a field in
+    flags must be True or False instead."""
     for field in fields(obj):
         name = field.name
+        value = getattr(obj, name)
+        if name in flags:
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+            continue
         sign = ("positive" if name in positive
                 else "non-negative" if name in non_negative else "")
-        object.__setattr__(obj, name, finite(name, getattr(obj, name), sign))
+        object.__setattr__(obj, name, finite(name, value, sign))
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,11 @@ class LinkageGeometry:
     q: float
     l0: float
     A0: float
+    exact_derivative: bool = False  # thrust-slope convention; see thrust.dl_dh
 
     def __post_init__(self):
-        finite_fields(self, positive=("a", "l0", "A0"), non_negative=("c", "p", "q"))
+        finite_fields(self, positive=("a", "l0", "A0"), non_negative=("c", "p", "q"),
+                      flags=("exact_derivative",))
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ from .geometry import (
 )
 
 
-def leg_forces(geom: LinkageGeometry, tension, theta: float, exact: bool,
+def leg_forces(geom: LinkageGeometry, tension, theta: float, *,
                slack_at: float = 1.0):
     """(sin, cos, h, lambda, F_l, F_y) at leg angle theta, unchecked.
 
     tension is a band law's tension method; the band is slack, F_l = 0,
     while lambda <= slack_at.  The anchor separation is the reduced
     l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope convention
-    selected by exact.
+    that geom selects.
     """
     s = math.sin(theta)
     co = math.cos(theta)
@@ -55,15 +55,14 @@ def leg_forces(geom: LinkageGeometry, tension, theta: float, exact: bool,
     f_l = tension(lam) if lam > slack_at else 0.0
     if f_l == 0.0:
         return s, co, h, lam, 0.0, 0.0
-    if exact:
+    if geom.exact_derivative:
         slope = 0.5 * SQRT3 * s / max(co, 1e-12)
     else:
         slope = SQRT3 * h / (4.0 * u)
     return s, co, h, lam, f_l, f_l * slope
 
 
-def leg_forces_array(geom: LinkageGeometry, model: ElasticModel,
-                     theta: np.ndarray, exact: bool):
+def leg_forces_array(geom: LinkageGeometry, model: ElasticModel, theta: np.ndarray):
     """leg_forces over an array of leg angles: six arrays, each equal to
     the scalar kernel's column bit for bit."""
     s = np.sin(theta)
@@ -72,14 +71,14 @@ def leg_forces_array(geom: LinkageGeometry, model: ElasticModel,
     u = np.maximum(geom.a * co + geom.q, ARM_FLOOR)
     lam = (geom.c + SQRT3 * u) / geom.l0
     f_l = np.where(lam > 1.0, model.tension(lam), 0.0)
-    if exact:
+    if geom.exact_derivative:
         slope = 0.5 * SQRT3 * s / np.maximum(co, 1e-12)
     else:
         slope = SQRT3 * h / (4.0 * u)
     return s, co, h, lam, f_l, np.where(f_l == 0.0, 0.0, f_l * slope)
 
 
-def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
+def dl_dh(geom: LinkageGeometry, theta: float) -> float:
     """Magnitude of the anchor-separation gradient |dl/dh| at theta.
 
     Default convention: the effective anchor arm b is treated as locally
@@ -88,24 +87,22 @@ def dl_dh(geom: LinkageGeometry, theta: float, exact: bool = False) -> float:
     This is exact for a single-pin knee (p = q = 0) and approximate
     otherwise.
 
-    With exact=True the full chain rule through theta is used,
-    (dl/dtheta)/(dh/dtheta) = (sqrt(3)/2) tan(theta), which accounts for the
-    knee anchor offsets as well.
+    The exact convention, which the geometry's flag selects, uses the full
+    chain rule through theta, (dl/dtheta)/(dh/dtheta) = (sqrt(3)/2)
+    tan(theta), which accounts for the knee anchor offsets as well.
     """
     _check_theta(theta)
-    return leg_forces(geom, lambda lam: 1.0, theta, exact, -math.inf)[5]  # F_l = 1
+    return leg_forces(geom, lambda lam: 1.0, theta, slack_at=-math.inf)[5]  # F_l = 1
 
 
-def thrust_force(
-    geom: LinkageGeometry, model: ElasticModel, theta: float, exact: bool = False
-) -> float:
+def thrust_force(geom: LinkageGeometry, model: ElasticModel, theta: float) -> float:
     """Vertical thrust F_y = F_l |dl/dh| for the given drive law.
 
     Zero whenever the band is slack.  See dl_dh for the derivative
-    convention selected by ``exact``.
+    convention that geom selects.
     """
     check_pose(geom, theta)
-    return leg_forces(geom, model.tension, theta, exact)[5]
+    return leg_forces(geom, model.tension, theta)[5]
 
 
 def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:
@@ -171,7 +168,6 @@ class ThrustProfile:
 
     geometry: LinkageGeometry
     model: ElasticModel
-    exact: bool
     theta: np.ndarray
     h: np.ndarray
     lam: np.ndarray
@@ -196,7 +192,6 @@ def thrust_profile(
     model: ElasticModel,
     interval: LegAngleInterval,
     n_samples: int,
-    exact: bool = False,
 ) -> ThrustProfile:
     """Uniform theta sampling of (h, lambda, F_l, F_y) over the interval.
 
@@ -206,13 +201,12 @@ def thrust_profile(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     theta = np.linspace(interval.theta_min, interval.theta_max, n_samples)
-    _, _, h, lam, f_l, f_y = leg_forces_array(geom, model, theta, exact)
+    _, _, h, lam, f_l, f_y = leg_forces_array(geom, model, theta)
     h_max = h.max()
     fy_max = f_y.max()
     return ThrustProfile(
         geometry=geom,
         model=model,
-        exact=exact,
         theta=theta,
         h=h,
         lam=lam,

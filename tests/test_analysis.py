@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from sarrusjump import (
     thrust_force,
 )
 import sarrusjump.analysis as analysis_module
+import sarrusjump.dynamics as dynamics_module
 from sarrusjump.analysis import _brentq
 from sarrusjump.dynamics import _integrate_raw, _LegDynamics, _rk4
 from sarrusjump.thrust import leg_forces, leg_forces_array
@@ -125,7 +127,7 @@ def scalar_scan_equilibria(geom, model, masses, interval, n_scan):
     dm = _LegDynamics(geom, model, masses)
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th, False)
+        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th)
         return co * (dm.g * dm.M3 - 4.0 * f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
@@ -209,7 +211,7 @@ def test_portrait_failures_marked_not_raised():
     assert trajs[1].status == "closed"
 
 
-PORTRAIT_BOUNDS = (-0.15, math.pi / 2 + 0.1)  # phase_portrait's default
+PORTRAIT_BOUNDS = (-0.15, math.pi / 2 + 0.1)  # phase_portrait's bounds
 
 
 def backward_reference(dm, theta0, t_span, step, bounds):
@@ -244,11 +246,11 @@ def test_undamped_portrait_mirrors_a_backward_run(geometry, law, exact_derivativ
     time from the release, to the bit, in t, theta, theta_dot, energy and
     the bounds exit; the release sample keeps t = +0.0 and theta_dot = +0.0."""
     geom = GEOM if geometry == "nominal" else pin_geometry()
+    geom = replace(geom, exact_derivative=exact_derivative)
     band = {"mooney": mooney_band(geom), "gaussian": gaussian_band(geom),
             "linear": LinearSpring(k=36.0, l0=geom.l0)}[law]
-    dm = _LegDynamics(geom, band, M_FREE, exact_derivative)
-    trajs = phase_portrait(geom, band, M_FREE, MIRROR_RELEASES, t_span=0.3,
-                           step=2e-4, exact_derivative=exact_derivative)
+    dm = _LegDynamics(geom, band, M_FREE)
+    trajs = phase_portrait(geom, band, M_FREE, MIRROR_RELEASES, t_span=0.3, step=2e-4)
     for traj in trajs:
         t, theta, theta_dot, energy, exited = backward_reference(
             dm, traj.theta0, 0.3, 2e-4, PORTRAIT_BOUNDS)
@@ -275,7 +277,7 @@ def first_integral_status(geom, model, masses, theta0, bounds, margin=1e-2, n=20
     sides = []
     for end in (bounds[1], bounds[0]):
         theta = np.linspace(theta0, end, n)
-        _, co, _, _, _, f_y = leg_forces_array(geom, model, theta, False)
+        _, co, _, _, _, f_y = leg_forces_array(geom, model, theta)
         q = dm.torque(co, f_y)
         sides.append(np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(theta))]))
     ahead, behind = sides if sides[0][1] > 0.0 else sides[::-1]
@@ -441,7 +443,7 @@ def test_brent_port_errors_match_scipy(monkeypatch):
             solver(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(RuntimeError, match="converge"):
         brentq(cubic, 1.0, 3.5, xtol=1e-14, maxiter=2)
-    monkeypatch.setattr(analysis_module, "_BRENT_MAXITER", 2)
+    monkeypatch.setattr(dynamics_module, "_BRENT_MAXITER", 2)
     with pytest.raises(RuntimeError, match="converge"):
         _brentq(cubic, 1.0, 3.5)
 

@@ -111,6 +111,11 @@ def test_config_invariants_revalidated():
     ("masses.g=Infinity", "masses.g must be a finite number, got inf"),
     ("masses.m1=true", "masses.m1 must be a finite number, got True"),
     ("sim.step=null", "sim.step must be a finite number, got None"),
+    ("geometry.exact_derivative=1", "geometry.exact_derivative must be true or false, got 1"),
+    ('geometry.exact_derivative="true"',
+     "geometry.exact_derivative must be true or false, got 'true'"),
+    ("geometry.exact_derivative=null",
+     "geometry.exact_derivative must be true or false, got None"),
 ])
 def test_config_rejects_bad_numbers(assignment, message):
     cfg = apply_overrides(default_config(), [assignment])
@@ -123,14 +128,32 @@ PARAMETERS = (nominal_geometry(), LegAngleInterval(0.1, 1.0), nominal_masses(),
               mooney_band(), ForceStretchSample(1.5, 0.2))
 
 
-@pytest.mark.parametrize("obj, name", [
-    pytest.param(obj, f.name, id=f"{type(obj).__name__}.{f.name}")
-    for obj in PARAMETERS for f in dataclasses.fields(obj)])
+def _fields(flags: bool):
+    """(object, field name) of every numeric field, or of every flag field,
+    of the parameter objects; a flag is a field whose default is a bool."""
+    return [pytest.param(obj, f.name, id=f"{type(obj).__name__}.{f.name}")
+            for obj in PARAMETERS for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), bool) == flags]
+
+
+@pytest.mark.parametrize("obj, name", _fields(flags=False))
 def test_parameter_fields_reject_bad_numbers(obj, name):
     """Built directly, not only through build_config, every numeric field
     rejects non-finite values, booleans and non-numbers by name."""
     for bad in (math.nan, math.inf, -math.inf, True, None):
         message = f"^{name} must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(obj, **{name: bad})
+
+
+@pytest.mark.parametrize("obj, name", _fields(flags=True))
+def test_flag_fields_accept_only_booleans(obj, name):
+    """A flag field keeps True and False and rejects every other value,
+    numbers, strings and None included, by name."""
+    for good in (True, False):
+        assert getattr(dataclasses.replace(obj, **{name: good}), name) is good
+    for bad in (1, 0, 1.0, math.nan, "true", None):
+        message = f"^{name} must be true or false, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(obj, **{name: bad})
 
@@ -154,6 +177,9 @@ def test_bad_number_is_a_config_error(tmp_path, capsys):
     (["phase-portrait", "--t-span", "-1"], "t_span must be positive, got -1.0"),
     (["mobility", "--base-radius", "nan"], "base_radius must be a finite number, got nan"),
     (["mobility", "--lock", "x:B"], "--lock 'x:B': expected CHAIN:JOINT"),
+    (["simulate", "--set", "geometry.exact_derivative=1"],
+     "geometry.exact_derivative must be true or false, got 1"),
+    (["simulate", "--exact-derivative"], "unrecognized arguments: --exact-derivative"),
 ])
 def test_bad_analysis_input_is_an_error(tmp_path, capsys, argv, message):
     data = tmp_path / "band.csv"

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from sarrusjump import (
     stored_energy,
     takeoff_velocity,
 )
+from sarrusjump.thrust import leg_forces_array
 
 from params import (
     MU_IDENTIFIED,
@@ -57,6 +59,7 @@ GEOM = nominal_geometry()
 MR = mooney_band()
 M_FREE = nominal_masses(mu_C=0.0)
 M_DAMPED = nominal_masses(mu_C=MU_IDENTIFIED)
+EXACT = nominal_geometry(exact_derivative=True)
 
 
 # ── group 1: mass bookkeeping ─────────────────────────────────────────────
@@ -267,8 +270,7 @@ def test_stiction_threshold_is_sharp():
 def test_knee_inversion_with_exact_derivative_at_squat():
     # With the chain-rule thrust the band cannot open the leg from the
     # squat angle: gravity wins and the knee folds through zero.
-    traj, summary = simulate_jump(GEOM, MR, M_FREE, sim_options(),
-                                  exact_derivative=True)
+    traj, summary = simulate_jump(EXACT, MR, M_FREE, sim_options())
     assert summary.termination == KNEE_INVERSION
     assert traj.theta[-1] <= 0.0
 
@@ -358,11 +360,11 @@ def test_recorded_columns_equal_per_row_evaluation(case):
     """Every column the recorder derives from its nodes equals, to the bit,
     the row evaluated per node with scalar math."""
     geom, model, masses, exact, theta0, termination = RECORDED_RUNS[case]
+    geom = replace(geom, exact_derivative=exact)
     traj = integrate_decompression(geom, model, masses,
-                                   sim_options(step=1e-4, t_max=0.5, theta0=theta0),
-                                   exact_derivative=exact)
+                                   sim_options(step=1e-4, t_max=0.5, theta0=theta0))
     assert traj.termination == termination
-    dm = dynamics._LegDynamics(geom, model, masses, exact)
+    dm = dynamics._LegDynamics(geom, model, masses)
     released = case != "stiction_at_rest"
     want = np.array([_observe(dm, model, *node, released) for node in zip(
         traj.t.tolist(), traj.theta.tolist(), traj.theta_dot.tolist())]).T
@@ -378,7 +380,7 @@ def test_exact_mode_energy_identity_undamped():
     """For the chain-rule derivative the released band energy equals the
     mechanical energy gain at every record (relative 1e-4)."""
     opts = sim_options(theta0=0.3)
-    traj, summary = simulate_jump(GEOM, MR, M_FREE, opts, exact_derivative=True)
+    traj, summary = simulate_jump(EXACT, MR, M_FREE, opts)
     assert summary.termination == TAKE_OFF
     lhs = traj.E_band[0] - traj.E_band
     rhs = traj.T_kin + traj.V_pot - traj.V_pot[0]
@@ -389,7 +391,7 @@ def test_exact_mode_energy_identity_undamped():
 def test_exact_mode_energy_identity_damped():
     # theta increases monotonically, so friction work is mu_C (theta - theta0).
     opts = sim_options(theta0=0.3)
-    traj, summary = simulate_jump(GEOM, MR, M_DAMPED, opts, exact_derivative=True)
+    traj, summary = simulate_jump(EXACT, MR, M_DAMPED, opts)
     lhs = traj.E_band[0] - traj.E_band
     rhs = (traj.T_kin + traj.V_pot - traj.V_pot[0]
            + M_DAMPED.mu_C * (traj.theta - traj.theta[0]))
@@ -545,8 +547,9 @@ SOLVER_CASES = {
 def test_solver_falls_back_outside_the_first_integral(case):
     law, masses, exact, theta0, t_max, termination, solver = SOLVER_CASES[case]
     opts = sim_options(step=1e-4, t_max=t_max, theta0=theta0)
-    state = solve_takeoff(GEOM, law, masses, opts, exact)
-    _, summary = simulate_jump(GEOM, law, masses, opts, exact, record=False)
+    geom = replace(GEOM, exact_derivative=exact)
+    state = solve_takeoff(geom, law, masses, opts)
+    _, summary = simulate_jump(geom, law, masses, opts, record=False)
     assert (state.termination, state.solver) == (termination, solver)
     assert summary.termination == termination
     assert math.isnan(state.v0_mps) and math.isnan(state.eta_pct)
@@ -582,15 +585,17 @@ def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, knee_points,
 @pytest.mark.parametrize("exact", (False, True))
 @pytest.mark.parametrize("law", sorted(BAND_LAWS))
 def test_derivatives_array_equals_scalar_kernel(law, exact):
-    """derivatives_array, and with it inertia, the D(theta) the solver
-    divides by, returns the scalar tuple to the bit, at rest and moving
-    either way, damped, over the whole range and past both ends."""
-    dm = dynamics._LegDynamics(GEOM, BAND_LAWS[law], M_DAMPED, exact)
+    """derivatives_array on the leg_forces_array tuple, and with it inertia,
+    the D(theta) the solver divides by, returns the scalar tuple to the bit,
+    at rest and moving either way, damped, over the whole range and past
+    both ends."""
+    geom = replace(GEOM, exact_derivative=exact)
+    dm = dynamics._LegDynamics(geom, BAND_LAWS[law], M_DAMPED)
     rng = np.random.default_rng(8)
     theta = rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)
     theta_dot = rng.uniform(-60.0, 60.0, theta.size)
     theta_dot[::4] = 0.0
-    got = dm.derivatives_array(theta, theta_dot)
+    got = dm.derivatives_array(leg_forces_array(geom, BAND_LAWS[law], theta), theta_dot)
     want = np.array([dm.derivatives(th, om)
                      for th, om in zip(theta.tolist(), theta_dot.tolist())]).T
     for column, (array, scalar) in enumerate(zip(got, want)):

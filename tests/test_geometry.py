@@ -134,16 +134,17 @@ def test_finite_difference_gradient_matches_exact_derivative():
     """Central differences of l against h reproduce the chain-rule gradient
     used by the thrust computation (relative 1e-6, away from endpoints)."""
     eps = 1e-7
+    exact = nominal_geometry(exact_derivative=True)
     for theta in np.linspace(0.05, math.pi / 2 - 0.05, 200):
         theta = float(theta)
         dl = anchor_distance(GEOM, theta + eps) - anchor_distance(GEOM, theta - eps)
         dh = height(GEOM, theta + eps) - height(GEOM, theta - eps)
-        assert abs(dl / dh) == pytest.approx(dl_dh(GEOM, theta, exact=True), rel=1e-6)
+        assert abs(dl / dh) == pytest.approx(dl_dh(exact, theta), rel=1e-6)
 
 
 def test_fixed_arm_gradient_matches_exact_for_pin_knee():
     pin = pin_geometry()
+    exact = nominal_geometry(p=0.0, q=0.0, exact_derivative=True)
     for theta in np.linspace(0.05, 1.4, 50):
         theta = float(theta)
-        assert dl_dh(pin, theta) == pytest.approx(dl_dh(pin, theta, exact=True),
-                                                  rel=1e-12)
+        assert dl_dh(pin, theta) == pytest.approx(dl_dh(exact, theta), rel=1e-12)

@@ -54,11 +54,11 @@ CASES = {
     # only this case reaches the slack bisection before the pi/2 stop.
     "simulate_slack_hard_stop": (["simulate", "--set", "masses.m1=50",
                                   "--set", "masses.mu_C=0"] + FAST, None, 2),
-    "simulate_knee_inversion": (["simulate", "--exact-derivative",
+    "simulate_knee_inversion": (["simulate", "--set", "geometry.exact_derivative=true",
                                  "--set", "masses.mu_C=0"] + FAST, None, 2),
     # The exact slope convention through to take-off.
-    "simulate_exact": (["simulate", "--exact-derivative", "--set", "sim.theta0=0.3"]
-                       + FAST, None, 0),
+    "simulate_exact": (["simulate", "--set", "geometry.exact_derivative=true",
+                        "--set", "sim.theta0=0.3"] + FAST, None, 0),
     "simulate_horizon": (["simulate", "--set", "sim.t_max=0.05"] + FAST, None, 2),
     "simulate_stiction": (["simulate", "--set", "masses.mu_C=1"] + FAST, None, 2),
     "simulate_contact_lost": (["simulate"], COLLAPSE, 2),
@@ -151,6 +151,19 @@ def test_set_switches_band_law(flags, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     digests = _digests(["simulate"] + flags + FAST, tmp_path / "out", 0)
     assert digests == golden["cases"]["simulate_linear"]
+
+
+@pytest.mark.parametrize("name", ["simulate_exact", "simulate_knee_inversion"])
+def test_config_file_sets_slope_convention(name, tmp_path):
+    """geometry.exact_derivative in a config file gives the outputs of the
+    --set route."""
+    golden = json.loads(GOLDEN.read_text())
+    argv, _, expected_rc = CASES[name]
+    i = argv.index("geometry.exact_derivative=true")
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps({"geometry": {"exact_derivative": True}}))
+    argv = argv[:i - 1] + argv[i + 1:] + ["--config", str(cfg)]
+    assert _digests(argv, tmp_path / "out", expected_rc) == golden["cases"][name]
 
 
 def test_golden_file_covers_every_case():

@@ -6,7 +6,9 @@ suite stays deterministic, and no example database is written.
 """
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from sarrusjump import (
     stored_energy,
     stretch,
 )
-from sarrusjump.dynamics import _LegDynamics
+from sarrusjump.dynamics import TRAJECTORY_CSV_HEADER, _LegDynamics
+from sarrusjump.serialize import write_csv, write_json
 from sarrusjump.thrust import leg_forces
 
 from params import nominal_geometry, nominal_masses, sim_options
@@ -75,7 +78,8 @@ def rising_designs():
         geom, law, masses = design
         dm = _LegDynamics(geom, law, masses)
         for exact in (False, True):
-            _, co, _, _, _, f_y = leg_forces(geom, law.tension, theta0, exact)
+            exact_geom = replace(geom, exact_derivative=exact)
+            _, co, _, _, _, f_y = leg_forces(exact_geom, law.tension, theta0)
             if not dm.torque(co, f_y) > 0.0:
                 return False
         return True
@@ -107,6 +111,25 @@ def test_sparse_and_recorded_runs_agree(design):
     sparse_summary, sparse_row = _outcome(design, record=False)
     assert full_summary == sparse_summary
     assert np.array_equal(full_row, sparse_row, equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(designs(), st.booleans())
+def test_reruns_write_byte_identical_files(design, exact_derivative):
+    """Two runs of one design, in either slope convention, write
+    trajectory.csv and summary.json with the same bytes."""
+    geom, law, masses = design
+    geom = replace(geom, exact_derivative=exact_derivative)
+    files = []
+    for _ in range(2):
+        traj, summary = simulate_jump(geom, law, masses, sim_options(step=1e-4, t_max=0.5))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_csv(out / "trajectory.csv", TRAJECTORY_CSV_HEADER, traj.columns())
+            write_json(out / "summary.json", summary.to_dict())
+            files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert sorted(files[0]) == ["summary.json", "trajectory.csv"]
+    assert files[0] == files[1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -154,14 +177,15 @@ def test_takeoff_solver_agrees_with_the_integrator(design, exact_derivative):
     relative with RK4 at step 1e-5 and event tolerance 1e-12.  The draws
     lift the leg from rest, so most reach take-off or the pi/2 stop."""
     geom, law, masses = design
+    geom = replace(geom, exact_derivative=exact_derivative)
     opts = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.5)
     try:
-        _, summary = simulate_jump(geom, law, masses, opts, exact_derivative, record=False)
+        _, summary = simulate_jump(geom, law, masses, opts, record=False)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            solve_takeoff(geom, law, masses, opts, exact_derivative)
+            solve_takeoff(geom, law, masses, opts)
         return
-    state = solve_takeoff(geom, law, masses, opts, exact_derivative)
+    state = solve_takeoff(geom, law, masses, opts)
     assert state.termination == summary.termination
     if summary.termination == TAKE_OFF:
         assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
@@ -192,15 +216,15 @@ def test_undamped_releases_get_the_integrators_status(release, exact_derivative,
     over proportions in [0, 1.5] never raises and marks each point with a
     documented status."""
     geom, law, masses, theta0 = release
+    geom = replace(geom, exact_derivative=exact_derivative)
     opts = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.2, theta0=theta0)
-    _, summary = simulate_jump(geom, law, masses, opts, exact_derivative, record=False)
-    state = solve_takeoff(geom, law, masses, opts, exact_derivative)
+    _, summary = simulate_jump(geom, law, masses, opts, record=False)
+    state = solve_takeoff(geom, law, masses, opts)
     assert state.termination == summary.termination
     if summary.termination == TAKE_OFF:
         assert state.v0_mps == pytest.approx(summary.v0_mps, rel=1e-9)
     curve = sensitivity(geom, law, masses, parameter, np.linspace(0.0, 1.5, 4),
-                        sim_options(step=1e-4, t_max=0.2, theta0=theta0),
-                        exact_derivative)
+                        sim_options(step=1e-4, t_max=0.2, theta0=theta0))
     assert set(curve.status) <= SENSITIVITY_STATUSES
     assert len(curve.status) == len(curve.solver) == 4
 

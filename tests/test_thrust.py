@@ -4,6 +4,7 @@ force-inversion property of the anchor-matched band, and bit-for-bit
 agreement of the scalar API, the integrator and the array kernel."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from params import (
 )
 
 GEOM = nominal_geometry()
+EXACT = nominal_geometry(exact_derivative=True)
 MR = mooney_band()
 
 # Unit-scale single-pin test rig: a = 1, k = 1, band shorter than the
@@ -111,8 +113,7 @@ def test_virtual_work_oracle_with_offsets_exact_mode():
         de = (stored_energy(MR, stretch(GEOM, theta + eps))
               - stored_energy(MR, stretch(GEOM, theta - eps)))
         dh = height(GEOM, theta + eps) - height(GEOM, theta - eps)
-        assert thrust_force(GEOM, MR, theta, exact=True) == pytest.approx(
-            -de / dh, rel=1e-5)
+        assert thrust_force(EXACT, MR, theta) == pytest.approx(-de / dh, rel=1e-5)
 
 
 # ── closed-form landmark heights ──────────────────────────────────────────
@@ -224,13 +225,13 @@ def test_scalar_api_and_integrator_agree_exactly():
     laws = (MR, gaussian_band(), LinearSpring(k=36.0, l0=GEOM.l0))
     thetas = [float(t) for t in np.linspace(1e-4, math.pi / 2, 400)]
     for model in laws:
-        for exact in (False, True):
-            dm = _LegDynamics(GEOM, model, nominal_masses(), exact)
+        for geom in (GEOM, EXACT):
+            dm = _LegDynamics(geom, model, nominal_masses())
             for theta in thetas:
                 _, _, _, _, _, _, _, lam, f_l, f_y, _ = dm.derivatives(theta, 0.0)
-                assert stretch(GEOM, theta) == lam
+                assert stretch(geom, theta) == lam
                 assert drive_force(model, lam) == f_l
-                assert thrust_force(GEOM, model, theta, exact=exact) == f_y
+                assert thrust_force(geom, model, theta) == f_y
 
 
 def test_profile_and_trajectory_agree_exactly():
@@ -267,11 +268,12 @@ def test_leg_forces_array_equals_scalar_kernel(case, exact):
     on a 200,001-point grid over [1e-4, pi/2] and on random angles past
     both ends, where the arm and cos(theta) floors act (RK4 overshoot)."""
     geom, model = KERNEL_CASES[case]
+    geom = replace(geom, exact_derivative=exact)
     rng = np.random.default_rng(5)
     theta = np.concatenate([np.linspace(1e-4, math.pi / 2, 200_001),
                             rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)])
-    got = leg_forces_array(geom, model, theta, exact)
-    want = np.array([leg_forces(geom, model.tension, th, exact)
+    got = leg_forces_array(geom, model, theta)
+    want = np.array([leg_forces(geom, model.tension, th)
                      for th in theta.tolist()]).T
     for column, name in enumerate(("sin", "cos", "h", "lambda", "F_l", "F_y")):
         assert got[column].dtype == np.float64
@@ -282,14 +284,15 @@ def test_array_kernel_cases_reach_every_branch():
     """The kernel cases above cover slack and taut bands, zero tension when
     taut, and the arm and cos(theta) floors under tension."""
     theta = np.linspace(1e-4, math.pi / 2, 2001)
-    lam = leg_forces_array(GEOM, MR, theta, False)[3]
+    lam = leg_forces_array(GEOM, MR, theta)[3]
     assert np.any(lam > 1.0) and np.any(lam <= 1.0)
-    _, _, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["linear_k0"], theta, False)
+    _, _, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["linear_k0"], theta)
     assert np.any(lam > 1.0) and np.all(f_l == 0.0)
-    assert np.all(leg_forces_array(*KERNEL_CASES["slack"], theta, False)[3] <= 1.0)
+    assert np.all(leg_forces_array(*KERNEL_CASES["slack"], theta)[3] <= 1.0)
     pin = KERNEL_CASES["pin"][0]
     assert pin.a * math.cos(math.pi / 2) + pin.q < ARM_FLOOR
     past_stop = np.linspace(math.pi / 2, math.pi / 2 + 0.3, 100)
-    _, co, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["taut"], past_stop, True)
+    taut = replace(TAUT, exact_derivative=True)
+    _, co, _, lam, f_l, _ = leg_forces_array(taut, KERNEL_CASES["taut"][1], past_stop)
     assert np.all(co < 1e-12) and np.all(lam > 1.0) and np.all(f_l > 0.0)
 
