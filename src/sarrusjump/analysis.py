@@ -22,7 +22,7 @@ from .dynamics import (  # noqa: F401  perfbench traces analysis.simulate_jump
 )
 from .elastic import ElasticModel
 from .geometry import LegAngleInterval, LinkageGeometry, finite
-from .thrust import leg_forces, leg_forces_array
+from .thrust import leg_forces_array, leg_kernel
 
 SADDLE = "Saddle"
 CENTER = "Center"
@@ -76,9 +76,10 @@ def find_equilibria(
     differentiable at rest.
     """
     dm = _LegDynamics(geom, model, _undamped(masses))
+    forces = leg_kernel(geom, model.tension)
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th)
+        _, co, _, _, _, f_y = forces(th)
         return dm.torque(co, f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .elastic import ElasticModel
 from .geometry import SQRT3, LinkageGeometry, finite_fields
-from .thrust import leg_forces, leg_forces_array
+from .thrust import leg_forces_array, leg_kernel
 
 TAKE_OFF = "TakeOff"
 STICTION = "Stiction"
@@ -224,51 +224,56 @@ class JumpSummary:
 class _LegDynamics:
     """Bound-parameter evaluator for the decompression equation of motion.
 
-    derivatives() is the one evaluation of the model at a state: the RK4
-    stages, the event tests (reaction) and the recorded trajectory all read
-    its tuple, so no state is passed through the kernel twice.
-    derivatives_array is its array twin, equal to it bit for bit, for the
-    take-off solver's scans.  inertia and torque are the one expression of
-    the mass matrix D(theta) and of the net torque from rest; reaction,
-    inertia, torque, kinetic and potential take floats or arrays.
+    derivatives(theta, theta_dot) is the one evaluation of the model at a
+    state: the RK4 stages, the event tests (reaction) and the recorded
+    trajectory all read its tuple, so no state is passed through the kernel
+    twice.  It is built once per design, over one leg_kernel and the mass
+    constants.  derivatives_array is its array twin, equal to it bit for
+    bit, for the take-off solver's scans.  inertia and torque are the one
+    expression of the mass matrix D(theta) and of the net torque from rest;
+    reaction, inertia, torque, kinetic and potential take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "tension", "energy")
+                 "I4", "geom", "model", "energy", "derivatives")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
-        self.a = geom.a
-        self.a2 = geom.a * geom.a
-        self.p = geom.p
-        self.m1 = masses.m1
-        self.m_T = masses.m_T
-        self.g = masses.g
-        self.mu_C = masses.mu_C
-        self.M1, self.M2, self.M3, self.M4 = masses.mass_coefficients()
-        self.I4 = 4.0 * (masses.I1 + masses.I2)
+        a, a2, mu_C = geom.a, geom.a * geom.a, masses.mu_C
+        M1, M2, M3, M4 = masses.mass_coefficients()
+        I4 = 4.0 * (masses.I1 + masses.I2)
+        self.a, self.a2, self.p = a, a2, geom.p
+        self.m1, self.m_T, self.g, self.mu_C = masses.m1, masses.m_T, masses.g, mu_C
+        self.M1, self.M2, self.M3, self.M4, self.I4 = M1, M2, M3, M4, I4
         self.geom = geom
         self.model = model
-        self.tension = model.tension
         self.energy = model.energy
+        forces = leg_kernel(geom, model.tension)
+        # The leading products of the expressions below, which evaluate
+        # left to right, so binding them here changes no bit.
+        m1a2_4, m1_4, a_2 = 4.0 * M1 * a2, 4.0 * M1, 2.0 * a
+        g_m3, mu_4 = masses.g * M3, 4.0 * mu_C
 
-    def derivatives(self, theta, theta_dot):
-        """(theta_dot, theta_ddot, friction power, thrust power, sin, cos,
-        h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then the
-        kernel values behind it, passed through without extra arithmetic."""
-        s, co, h, lam, f_l, f_y = leg_forces(self.geom, self.tension, theta)
-        sin2 = 2.0 * s * co
-        cos2 = co * co - s * s
-        denom = self.a2 * (4.0 * self.M1 * cos2 + self.M2) + self.I4
-        sgn = (theta_dot > 0.0) - (theta_dot < 0.0)
-        num = (
-            4.0 * self.M1 * self.a2 * sin2 * theta_dot * theta_dot
-            - 2.0 * self.a * co * (self.g * self.M3 - 4.0 * f_y)
-            - 4.0 * self.mu_C * sgn
-        )
-        tdd = num / denom
-        h_dot = 2.0 * self.a * co * theta_dot
-        return (theta_dot, tdd, self.mu_C * abs(theta_dot), f_y * h_dot,
-                s, co, h, lam, f_l, f_y, h_dot)
+        def derivatives(theta, theta_dot):
+            """(theta_dot, theta_ddot, friction power, thrust power, sin,
+            cos, h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then
+            the kernel values behind it, passed through without extra
+            arithmetic."""
+            s, co, h, lam, f_l, f_y = forces(theta)
+            sin2 = 2.0 * s * co
+            cos2 = co * co - s * s
+            denom = a2 * (m1_4 * cos2 + M2) + I4
+            sgn = (theta_dot > 0.0) - (theta_dot < 0.0)
+            num = (
+                m1a2_4 * sin2 * theta_dot * theta_dot
+                - a_2 * co * (g_m3 - 4.0 * f_y)
+                - mu_4 * sgn
+            )
+            tdd = num / denom
+            h_dot = a_2 * co * theta_dot
+            return (theta_dot, tdd, mu_C * abs(theta_dot), f_y * h_dot,
+                    s, co, h, lam, f_l, f_y, h_dot)
+
+        self.derivatives = derivatives
 
     def derivatives_array(self, forces, theta_dot):
         """derivatives() over arrays of states, from the leg_forces_array
@@ -327,10 +332,12 @@ class _LegDynamics:
 
 def _rk4(dm: _LegDynamics, y, k1, dt):
     """One classical RK4 step of size dt from y; k1 = dm.derivatives at y."""
+    derivatives = dm.derivatives
     th, om, wf, wi = y
-    k2 = dm.derivatives(th + 0.5 * dt * k1[0], om + 0.5 * dt * k1[1])
-    k3 = dm.derivatives(th + 0.5 * dt * k2[0], om + 0.5 * dt * k2[1])
-    k4 = dm.derivatives(th + dt * k3[0], om + dt * k3[1])
+    half = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k
+    k2 = derivatives(th + half * k1[0], om + half * k1[1])
+    k3 = derivatives(th + half * k2[0], om + half * k2[1])
+    k4 = derivatives(th + dt * k3[0], om + dt * k3[1])
     sixth = dt / 6.0
     return (
         th + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
@@ -430,20 +437,25 @@ def integrate_decompression(
     detail = "time horizon exceeded before take-off"
     t_off = None
 
+    derivatives, reaction = dm.derivatives, dm.reaction
+    t_max = options.t_max
+    t_end, half_pi = t_max - 1e-15, math.pi / 2
     t = 0.0
     y = (th0, 0.0, 0.0, 0.0)  # theta, theta_dot, friction work, thrust work
-    fn_prev = dm.reaction(d)[1]
+    fn_prev = reaction(d)[1]
 
-    while t < options.t_max - 1e-15:
-        dt = min(dt_nom, options.t_max - t)
+    while t < t_end:
+        dt = t_max - t
+        if dt > dt_nom:  # min(dt_nom, t_max - t)
+            dt = dt_nom
         y_new = _rk4(dm, y, d, dt)
-        d_new = dm.derivatives(y_new[0], y_new[1])
-        fn_new = dm.reaction(d_new)[1]
+        d_new = derivatives(y_new[0], y_new[1])
+        fn_new = reaction(d_new)[1]
 
         off = slack = None  # (tau, state, evaluation) of each event in this step
         if fn_prev > 0.0 >= fn_new:
             off = _bisect_event(
-                dm, y, d, dt, y_new, d_new, lambda e: dm.reaction(e)[1], tol_t)
+                dm, y, d, dt, y_new, d_new, lambda e: reaction(e)[1], tol_t)
         if (d[7] - 1.0) * (d_new[7] - 1.0) < 0.0:  # lambda crosses 1
             sign = 1.0 if d[7] > 1.0 else -1.0
             slack = _bisect_event(
@@ -467,7 +479,7 @@ def integrate_decompression(
             if record:
                 ts.append(t)
                 nodes += (y[0], *d)
-            fn_prev = dm.reaction(d)[1]
+            fn_prev = reaction(d)[1]
             continue
 
         t += dt
@@ -479,7 +491,7 @@ def integrate_decompression(
             termination = KNEE_INVERSION
             detail = "leg angle reached zero: knee inverted"
             break
-        if y[0] >= math.pi / 2:
+        if y[0] >= half_pi:
             termination = HORIZON_EXCEEDED
             detail = "leg reached the pi/2 hard stop before take-off"
             break
@@ -855,19 +867,20 @@ def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
     """
     n = max(int(round(t_span / step)), 1)
     dt = t_span / n
-    ts = [0.0]
+    derivatives = dm.derivatives
+    lo, hi = bounds
     y = (theta0, theta_dot0, 0.0, 0.0)
     states = list(y)  # flat, as the nodes of integrate_decompression
     exited = False
-    for i in range(1, n + 1):
-        y = _rk4(dm, y, dm.derivatives(y[0], y[1]), dt)
-        ts.append(i * dt)
+    for _ in range(n):
+        y = _rk4(dm, y, derivatives(y[0], y[1]), dt)
         states += y
-        if not (bounds[0] <= y[0] <= bounds[1]):
+        if not (lo <= y[0] <= hi):
             exited = True
             break
-    states = np.fromiter(states, float, len(states)).reshape(len(ts), 4)
+    states = np.fromiter(states, float, len(states)).reshape(-1, 4)
     theta, theta_dot, _, thrust_work = states.T
     s, co = np.sin(theta), np.cos(theta)
     energy = dm.kinetic(s, co, theta_dot) + dm.potential(s) - thrust_work
-    return np.array(ts), theta, theta_dot, energy, exited
+    # node i sits at i * dt, the same IEEE product as in Python floats
+    return np.arange(len(theta)) * dt, theta, theta_dot, energy, exited

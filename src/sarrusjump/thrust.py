@@ -4,9 +4,9 @@ The vertical thrust is the band tension scaled by the gradient of the anchor
 separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
 
-leg_forces evaluates theta -> (h, lambda, F_l, F_y) for the scalar API and the
-integrator; geometry.anchor_distance repeats its stretch line for the scalar
-stretch.
+leg_kernel builds, once per design, the scalar evaluation theta -> (h,
+lambda, F_l, F_y) for the scalar API and the integrator;
+geometry.anchor_distance repeats its stretch line for the scalar stretch.
 leg_forces_array is its array twin for theta grids (thrust_profile and the
 find_equilibria scan): the same arithmetic in the same order, with numpy in
 place of math and np.maximum/np.where in place of the ifs, so it equals the
@@ -36,35 +36,41 @@ from .geometry import (
 )
 
 
-def leg_forces(geom: LinkageGeometry, tension, theta: float, *,
-               slack_at: float = 1.0):
-    """(sin, cos, h, lambda, F_l, F_y) at leg angle theta, unchecked.
+def leg_kernel(geom: LinkageGeometry, tension, *, slack_at: float = 1.0):
+    """forces(theta) -> (sin, cos, h, lambda, F_l, F_y) at leg angle theta,
+    unchecked, with geom, tension and slack_at read once, here.
 
     tension is a band law's tension method; the band is slack, F_l = 0,
     while lambda <= slack_at.  The anchor separation is the reduced
     l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope convention
     that geom selects.
     """
-    s = math.sin(theta)
-    co = math.cos(theta)
-    h = 2.0 * (geom.a * s + geom.p)
-    u = geom.a * co + geom.q
-    if u < ARM_FLOOR:  # an if, not max(): this runs in every RHS evaluation
-        u = ARM_FLOOR
-    lam = (geom.c + SQRT3 * u) / geom.l0
-    f_l = tension(lam) if lam > slack_at else 0.0
-    if f_l == 0.0:
-        return s, co, h, lam, 0.0, 0.0
-    if geom.exact_derivative:
-        slope = 0.5 * SQRT3 * s / max(co, 1e-12)
-    else:
-        slope = SQRT3 * h / (4.0 * u)
-    return s, co, h, lam, f_l, f_l * slope
+    a, p, q, c, l0 = geom.a, geom.p, geom.q, geom.c, geom.l0
+    exact = geom.exact_derivative
+
+    def forces(theta):
+        s = math.sin(theta)
+        co = math.cos(theta)
+        h = 2.0 * (a * s + p)
+        u = a * co + q
+        if u < ARM_FLOOR:
+            u = ARM_FLOOR
+        lam = (c + SQRT3 * u) / l0
+        f_l = tension(lam) if lam > slack_at else 0.0
+        if f_l == 0.0:
+            return s, co, h, lam, 0.0, 0.0
+        if exact:
+            slope = 0.5 * SQRT3 * s / max(co, 1e-12)
+        else:
+            slope = SQRT3 * h / (4.0 * u)
+        return s, co, h, lam, f_l, f_l * slope
+
+    return forces
 
 
 def leg_forces_array(geom: LinkageGeometry, model: ElasticModel, theta: np.ndarray):
-    """leg_forces over an array of leg angles: six arrays, each equal to
-    the scalar kernel's column bit for bit."""
+    """leg_kernel's forces over an array of leg angles: six arrays, each
+    equal to the scalar kernel's column bit for bit."""
     s = np.sin(theta)
     co = np.cos(theta)
     h = 2.0 * (geom.a * s + geom.p)
@@ -92,7 +98,7 @@ def dl_dh(geom: LinkageGeometry, theta: float) -> float:
     tan(theta), which accounts for the knee anchor offsets as well.
     """
     _check_theta(theta)
-    return leg_forces(geom, lambda lam: 1.0, theta, slack_at=-math.inf)[5]  # F_l = 1
+    return leg_kernel(geom, lambda lam: 1.0, slack_at=-math.inf)(theta)[5]  # F_l = 1
 
 
 def thrust_force(geom: LinkageGeometry, model: ElasticModel, theta: float) -> float:
@@ -102,7 +108,7 @@ def thrust_force(geom: LinkageGeometry, model: ElasticModel, theta: float) -> fl
     convention that geom selects.
     """
     check_pose(geom, theta)
-    return leg_forces(geom, model.tension, theta)[5]
+    return leg_kernel(geom, model.tension)(theta)[5]
 
 
 def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:

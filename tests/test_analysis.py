@@ -30,7 +30,7 @@ import sarrusjump.analysis as analysis_module
 import sarrusjump.dynamics as dynamics_module
 from sarrusjump.analysis import _brentq
 from sarrusjump.dynamics import _integrate_raw, _LegDynamics, _rk4
-from sarrusjump.thrust import leg_forces, leg_forces_array
+from sarrusjump.thrust import leg_forces_array, leg_kernel
 
 from params import (
     MU_IDENTIFIED,
@@ -127,7 +127,7 @@ def scalar_scan_equilibria(geom, model, masses, interval, n_scan):
     dm = _LegDynamics(geom, model, masses)
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_forces(geom, model.tension, th)
+        _, co, _, _, _, f_y = leg_kernel(geom, model.tension)(th)
         return co * (dm.g * dm.M3 - 4.0 * f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)

@@ -36,6 +36,7 @@ from sarrusjump import (
     dynamics,
     efficiency,
     integrate_decompression,
+    phase_portrait,
     sensitivity,
     simulate_jump,
     solve_takeoff,
@@ -477,30 +478,72 @@ def test_take_off_velocity_monotone_in_damping():
     assert all(a >= b - 1e-12 for a, b in zip(v0s, v0s[1:]))
 
 
+def count_kernels(monkeypatch):
+    """Counters of the leg kernels _LegDynamics builds, of the calls into
+    them, and of the RK4 steps."""
+    calls = {"builds": 0, "kernel": 0, "rk4": 0}
+    build, rk4 = dynamics.leg_kernel, dynamics._rk4
+
+    def counted_build(*args, **kwargs):
+        calls["builds"] += 1
+        forces = build(*args, **kwargs)
+
+        def counted(theta):
+            calls["kernel"] += 1
+            return forces(theta)
+        return counted
+
+    def counted_rk4(*args):
+        calls["rk4"] += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(dynamics, "leg_kernel", counted_build)
+    monkeypatch.setattr(dynamics, "_rk4", counted_rk4)
+    return calls
+
+
 @pytest.mark.parametrize("record", [True, False])
 def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
     """The reference run evaluates the kernel 4 times per RK4 step and per
     bisection iteration (stages 2-4 plus the end-of-step evaluation, which
     is also the next k1, the event tests and the row), plus the start state,
     whose tuple the rest check reads, whether or not every step is
-    recorded."""
-    calls = {"leg_forces": 0, "rk4": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(dynamics, "leg_forces", counted("leg_forces", dynamics.leg_forces))
-    monkeypatch.setattr(dynamics, "_rk4", counted("rk4", dynamics._rk4))
+    recorded; it builds the kernel once."""
+    calls = count_kernels(monkeypatch)
     run = build_config(default_config())
     traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
                                   record=record)
     assert summary.termination == TAKE_OFF
-    assert calls == {"leg_forces": 54149, "rk4": 13537}
-    assert calls["leg_forces"] == 4 * calls["rk4"] + 1
+    assert calls == {"builds": 1, "kernel": 54149, "rk4": 13537}
+    assert calls["kernel"] == 4 * calls["rk4"] + 1
     assert len(traj) == (13531 if record else 2)
+
+
+def test_portrait_kernel_counts(monkeypatch):
+    """A phase portrait builds one kernel and evaluates it 4 times per RK4
+    step: the nominal releases 0.3 and 1.4 over 1 s, once undamped (each
+    forward run mirrored) and once damped."""
+    calls = count_kernels(monkeypatch)
+    run = build_config(default_config())
+    undamped = replace(run.masses, mu_C=0.0)
+    samples = []
+    for masses in (undamped, run.masses):
+        before = calls["builds"]
+        portrait = phase_portrait(run.geometry, run.elastic, masses, [0.3, 1.4],
+                                  t_span=1.0)
+        assert calls["builds"] == before + 1
+        samples += [len(tr.t) for tr in portrait]
+    assert samples == [637, 10001, 346, 5001]
+    assert calls == {"builds": 2, "kernel": 42652, "rk4": 10663}
+    assert calls["kernel"] == 4 * calls["rk4"]
+
+
+def test_first_integral_takeoff_builds_one_kernel(monkeypatch):
+    calls = count_kernels(monkeypatch)
+    run = build_config(default_config())
+    state = solve_takeoff(run.geometry, run.elastic, run.masses, run.sim)
+    assert (state.termination, state.solver) == (TAKE_OFF, "first_integral")
+    assert calls["builds"] == 1 and calls["rk4"] == 0
 
 
 # ── group 6: the first-integral take-off solver ───────────────────────────

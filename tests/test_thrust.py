@@ -28,7 +28,7 @@ from sarrusjump import (
 
 from sarrusjump.dynamics import _LegDynamics
 from sarrusjump.geometry import ARM_FLOOR
-from sarrusjump.thrust import leg_forces, leg_forces_array
+from sarrusjump.thrust import leg_forces_array, leg_kernel
 
 from params import (
     gaussian_band,
@@ -234,6 +234,18 @@ def test_scalar_api_and_integrator_agree_exactly():
                 assert thrust_force(geom, model, theta) == f_y
 
 
+def test_leg_kernel_rejects_a_stale_positional_argument():
+    """The kernel binds its slack threshold when it is built, so a call in
+    the old form forces(theta, slack_at) fails loudly instead of reading
+    the extra argument as something else."""
+    forces = leg_kernel(GEOM, MR.tension)
+    assert forces(0.3) == leg_kernel(GEOM, MR.tension, slack_at=1.0)(0.3)
+    with pytest.raises(TypeError):
+        forces(0.3, 1.0)
+    with pytest.raises(TypeError):
+        leg_kernel(GEOM, MR.tension, 1.0)
+
+
 def test_profile_and_trajectory_agree_exactly():
     """The thrust-profile path and a recorded simulation give the same
     lambda and F_y at the same leg angle."""
@@ -273,8 +285,8 @@ def test_leg_forces_array_equals_scalar_kernel(case, exact):
     theta = np.concatenate([np.linspace(1e-4, math.pi / 2, 200_001),
                             rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)])
     got = leg_forces_array(geom, model, theta)
-    want = np.array([leg_forces(geom, model.tension, th)
-                     for th in theta.tolist()]).T
+    forces = leg_kernel(geom, model.tension)
+    want = np.array([forces(th) for th in theta.tolist()]).T
     for column, name in enumerate(("sin", "cos", "h", "lambda", "F_l", "F_y")):
         assert got[column].dtype == np.float64
         assert np.array_equal(got[column], want[column]), name
