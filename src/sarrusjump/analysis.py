@@ -22,7 +22,7 @@ from .dynamics import (  # noqa: F401  perfbench traces analysis.simulate_jump
 )
 from .elastic import ElasticModel
 from .geometry import LegAngleInterval, LinkageGeometry, finite
-from .thrust import leg_forces_array, leg_kernel
+from .thrust import leg_forces_array
 
 SADDLE = "Saddle"
 CENTER = "Center"
@@ -43,6 +43,7 @@ PORTRAIT_CSV_HEADER = ("t", "theta", "theta_dot", "energy")
 # undamped one closes when a turning point lands this near its release.
 _PORTRAIT_BOUNDS = (-0.15, math.pi / 2 + 0.1)
 _CLOSURE_TOL = 1e-3
+_CLASSIFY_EPS = 1e-6  # central-difference step in theta of _classify's Jacobian
 _IDENTIFY_RTOL = 1e-6  # relative tolerance of identify_mu's Brent search in mu_C
 
 
@@ -70,16 +71,16 @@ def find_equilibria(
 
     Roots of the net torque from rest, _LegDynamics.torque, are located by
     a sign scan over n_scan points (array kernel) followed by Brent
-    refinement (scalar kernel), then classified through the Jacobian of the (theta, theta_dot)
-    system: a real +/- eigenvalue pair is a saddle, an imaginary pair a
-    center.  Friction is ignored here because the Coulomb term is not
-    differentiable at rest.
+    refinement (the scalar kernel of the same _LegDynamics), then
+    classified through the Jacobian of the (theta, theta_dot) system: a
+    real +/- eigenvalue pair is a saddle, an imaginary pair a center.
+    Friction is ignored here because the Coulomb term is not differentiable
+    at rest.
     """
     dm = _LegDynamics(geom, model, _undamped(masses))
-    forces = leg_kernel(geom, model.tension)
 
     def torque(th):
-        _, co, _, _, _, f_y = forces(th)
+        _, co, _, _, _, f_y = dm.forces(th)
         return dm.torque(co, f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
@@ -107,10 +108,10 @@ def find_equilibria(
     return equilibria
 
 
-def _classify(dm: _LegDynamics, theta_star: float, eps: float = 1e-6) -> Equilibrium:
+def _classify(dm: _LegDynamics, theta_star: float) -> Equilibrium:
     """Classify via the linearised 2-state system at (theta*, 0)."""
-    dfdth = (dm.derivatives(theta_star + eps, 0.0)[1]
-             - dm.derivatives(theta_star - eps, 0.0)[1]) / (2 * eps)
+    dfdth = (dm.derivatives(theta_star + _CLASSIFY_EPS, 0.0)[1]
+             - dm.derivatives(theta_star - _CLASSIFY_EPS, 0.0)[1]) / (2 * _CLASSIFY_EPS)
     # Jacobian [[0, 1], [dfdth, 0]]: eigenvalues +/- sqrt(dfdth).
     if dfdth > 1e-9:
         lam = math.sqrt(dfdth)
@@ -187,16 +188,16 @@ def _trace(dm, theta0, undamped, t_span, step):
         if exited_f:
             status = "escaped"
         else:
-            status = "closed" if _returns_to_start(th_f, om_f, theta0, _CLOSURE_TOL) else "open"
+            status = "closed" if _returns_to_start(th_f, om_f, theta0) else "open"
     else:
         t, theta, omega, energy = t_f, th_f, om_f, en_f
         status = "escaped" if exited_f else "damped"
     return PortraitTrajectory(theta0, t, theta, omega, energy, status)
 
 
-def _returns_to_start(theta, omega, theta0, tol):
+def _returns_to_start(theta, omega, theta0):
     dist = np.hypot(theta - theta0, omega)
-    departed = np.flatnonzero(dist > 10.0 * tol)
+    departed = np.flatnonzero(dist > 10.0 * _CLOSURE_TOL)
     if departed.size == 0:
         return True  # never left the release point
     # The release point is a turning point (theta_dot = 0), so the orbit
@@ -209,7 +210,7 @@ def _returns_to_start(theta, omega, theta0, tol):
         w0, w1 = omega[i], omega[i + 1]
         frac = w0 / (w0 - w1)
         theta_turn = theta[i] + frac * (theta[i + 1] - theta[i])
-        if abs(theta_turn - theta0) < tol:
+        if abs(theta_turn - theta0) < _CLOSURE_TOL:
             return True
     return False
 

@@ -71,6 +71,8 @@ TRAJECTORY_CSV_HEADER = (
     "F_l", "F_y", "F_N", "T_kin", "V_pot", "E_band",
 )
 
+_BISECT_MAX_ITER = 90  # _bisect_event's cap; the event tolerance ends it first
+
 
 @dataclass(frozen=True)
 class MassModel:
@@ -227,15 +229,18 @@ class _LegDynamics:
     derivatives(theta, theta_dot) is the one evaluation of the model at a
     state: the RK4 stages, the event tests (reaction) and the recorded
     trajectory all read its tuple, so no state is passed through the kernel
-    twice.  It is built once per design, over one leg_kernel and the mass
-    constants.  derivatives_array is its array twin, equal to it bit for
-    bit, for the take-off solver's scans.  inertia and torque are the one
-    expression of the mass matrix D(theta) and of the net torque from rest;
-    reaction, inertia, torque, kinetic and potential take floats or arrays.
+    twice.  derivatives_array(forces, theta_dot) takes arrays of states and
+    the leg_forces_array tuple of their angles, for the take-off solver.
+    Both come from one body, built once per design over the mass constants;
+    derivatives calls forces, the leg kernel built here, on theta.
+    inertia and torque are the one expression of the mass matrix D(theta)
+    and of the net torque from rest; reaction, inertia, torque, kinetic and
+    potential take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "energy", "derivatives")
+                 "I4", "geom", "model", "energy", "forces", "derivatives",
+                 "derivatives_array")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
         a, a2, mu_C = geom.a, geom.a * geom.a, masses.mu_C
@@ -247,49 +252,37 @@ class _LegDynamics:
         self.geom = geom
         self.model = model
         self.energy = model.energy
-        forces = leg_kernel(geom, model.tension)
         # The leading products of the expressions below, which evaluate
         # left to right, so binding them here changes no bit.
         m1a2_4, m1_4, a_2 = 4.0 * M1 * a2, 4.0 * M1, 2.0 * a
         g_m3, mu_4 = masses.g * M3, 4.0 * mu_C
 
-        def derivatives(theta, theta_dot):
-            """(theta_dot, theta_ddot, friction power, thrust power, sin,
-            cos, h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then
-            the kernel values behind it, passed through without extra
-            arithmetic."""
-            s, co, h, lam, f_l, f_y = forces(theta)
-            sin2 = 2.0 * s * co
-            cos2 = co * co - s * s
-            denom = a2 * (m1_4 * cos2 + M2) + I4
-            sgn = (theta_dot > 0.0) - (theta_dot < 0.0)
-            num = (
-                m1a2_4 * sin2 * theta_dot * theta_dot
-                - a_2 * co * (g_m3 - 4.0 * f_y)
-                - mu_4 * sgn
-            )
-            tdd = num / denom
-            h_dot = a_2 * co * theta_dot
-            return (theta_dot, tdd, mu_C * abs(theta_dot), f_y * h_dot,
-                    s, co, h, lam, f_l, f_y, h_dot)
+        def equation_of_motion(forces):
+            def derivatives(theta, theta_dot):
+                """(theta_dot, theta_ddot, friction power, thrust power, sin,
+                cos, h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then
+                the kernel values behind it, passed through as they are."""
+                s, co, h, lam, f_l, f_y = forces(theta)
+                sin2 = 2.0 * s * co
+                cos2 = co * co - s * s
+                denom = a2 * (m1_4 * cos2 + M2) + I4
+                # sgn(theta_dot); "* 1" as numpy cannot subtract boolean arrays
+                sgn = (theta_dot > 0.0) * 1 - (theta_dot < 0.0)
+                num = (
+                    m1a2_4 * sin2 * theta_dot * theta_dot
+                    - a_2 * co * (g_m3 - 4.0 * f_y)
+                    - mu_4 * sgn
+                )
+                tdd = num / denom
+                h_dot = a_2 * co * theta_dot
+                return (theta_dot, tdd, mu_C * abs(theta_dot), f_y * h_dot,
+                        s, co, h, lam, f_l, f_y, h_dot)
 
-        self.derivatives = derivatives
+            return derivatives
 
-    def derivatives_array(self, forces, theta_dot):
-        """derivatives() over arrays of states, from the leg_forces_array
-        tuple forces of their leg angles: the same arithmetic through
-        inertia, so every column equals the scalar tuple's to the bit."""
-        s, co, h, lam, f_l, f_y = forces
-        sin2 = 2.0 * s * co
-        num = (
-            4.0 * self.M1 * self.a2 * sin2 * theta_dot * theta_dot
-            - 2.0 * self.a * co * (self.g * self.M3 - 4.0 * f_y)
-            - 4.0 * self.mu_C * np.sign(theta_dot)
-        )
-        tdd = num / self.inertia(s, co)
-        h_dot = 2.0 * self.a * co * theta_dot
-        return (theta_dot, tdd, self.mu_C * np.abs(theta_dot), f_y * h_dot,
-                s, co, h, lam, f_l, f_y, h_dot)
+        self.forces = leg_kernel(geom, model.tension)
+        self.derivatives = equation_of_motion(self.forces)
+        self.derivatives_array = equation_of_motion(lambda forces: forces)
 
     def inertia(self, s, co):
         """D(theta), the denominator of the equation of motion, from sin and
@@ -347,7 +340,7 @@ def _rk4(dm: _LegDynamics, y, k1, dt):
     )
 
 
-def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t, max_iter=90):
+def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t):
     """First sub-step tau in (0, dt] where crossing(evaluation) flips negative.
 
     y_hi and d_hi are the state after the full step dt from y and its
@@ -357,7 +350,7 @@ def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t, max_iter=90):
     """
     lo = 0.0
     hi = dt
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= tol_t:
             break
         mid = 0.5 * (lo + hi)

@@ -256,9 +256,9 @@ def _common(stack: np.ndarray) -> np.ndarray:
     return stack[0][shared]
 
 
-def _parallel(x: np.ndarray, y: np.ndarray, tol: float = 1e-9) -> bool:
+def _parallel(x: np.ndarray, y: np.ndarray) -> bool:
     """True when two 6-vectors are scalar multiples of each other."""
-    return int(np.linalg.matrix_rank(np.vstack([x, y]), tol=tol)) == 1
+    return int(np.linalg.matrix_rank(np.vstack([x, y]), tol=_TOL)) == 1
 
 
 def platform_freedoms(mech: SarrusMechanism) -> np.ndarray:

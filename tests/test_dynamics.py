@@ -26,15 +26,18 @@ from sarrusjump import (
     KNEE_INVERSION,
     STICTION,
     TAKE_OFF,
+    LegAngleInterval,
     LinearSpring,
     MassModel,
     SimOptions,
+    analysis,
     apply_overrides,
     ballistic,
     build_config,
     default_config,
     dynamics,
     efficiency,
+    find_equilibria,
     integrate_decompression,
     phase_portrait,
     sensitivity,
@@ -546,6 +549,28 @@ def test_first_integral_takeoff_builds_one_kernel(monkeypatch):
     assert calls["builds"] == 1 and calls["rk4"] == 0
 
 
+def test_find_equilibria_builds_one_kernel(monkeypatch):
+    """find_equilibria builds one leg kernel, its _LegDynamics's, and makes
+    every scalar evaluation through it: each of Brent's, the pi/2 check and
+    two per classified equilibrium."""
+    calls = count_kernels(monkeypatch)
+    brent = {"evaluations": 0}
+    brentq = analysis._brentq
+
+    def counted_brentq(f, xa, xb):
+        def counted(x):
+            brent["evaluations"] += 1
+            return f(x)
+        return brentq(counted, xa, xb)
+
+    monkeypatch.setattr(analysis, "_brentq", counted_brentq)
+    equilibria = find_equilibria(GEOM, MR, nominal_masses(mu_C=0.0),
+                                 LegAngleInterval(1e-4, math.pi / 2))
+    assert len(equilibria) == 2 and brent["evaluations"] > 0  # center, pi/2 saddle
+    assert calls["builds"] == 1 and calls["rk4"] == 0
+    assert calls["kernel"] == brent["evaluations"] + 1 + 2 * len(equilibria)
+
+
 # ── group 6: the first-integral take-off solver ───────────────────────────
 
 TIGHT = sim_options(step=1e-5, event_tolerance=1e-12, t_max=0.5)
@@ -628,22 +653,27 @@ def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, knee_points,
 @pytest.mark.parametrize("exact", (False, True))
 @pytest.mark.parametrize("law", sorted(BAND_LAWS))
 def test_derivatives_array_equals_scalar_kernel(law, exact):
-    """derivatives_array on the leg_forces_array tuple, and with it inertia,
-    the D(theta) the solver divides by, returns the scalar tuple to the bit,
-    at rest and moving either way, damped, over the whole range and past
-    both ends."""
+    """derivatives_array on the leg_forces_array tuple returns the scalar
+    tuple to the bit, at rest and moving either way, damped, over the whole
+    range and past both ends; and inertia and torque, the D(theta) and net
+    torque the solver integrates, give its undamped theta_ddot at rest."""
     geom = replace(GEOM, exact_derivative=exact)
     dm = dynamics._LegDynamics(geom, BAND_LAWS[law], M_DAMPED)
     rng = np.random.default_rng(8)
     theta = rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)
     theta_dot = rng.uniform(-60.0, 60.0, theta.size)
     theta_dot[::4] = 0.0
-    got = dm.derivatives_array(leg_forces_array(geom, BAND_LAWS[law], theta), theta_dot)
+    forces = leg_forces_array(geom, BAND_LAWS[law], theta)
+    got = dm.derivatives_array(forces, theta_dot)
     want = np.array([dm.derivatives(th, om)
                      for th, om in zip(theta.tolist(), theta_dot.tolist())]).T
     for column, (array, scalar) in enumerate(zip(got, want)):
         assert array.dtype == np.float64
         assert np.array_equal(array, scalar), column
+    free = dynamics._LegDynamics(geom, BAND_LAWS[law], replace(M_DAMPED, mu_C=0.0))
+    s, co, _, _, _, f_y = forces
+    rest = free.derivatives_array(forces, np.zeros_like(theta))[1]
+    assert np.array_equal(4.0 * free.torque(co, f_y) / free.inertia(s, co), rest)
 
 
 def test_package_import_leaves_numpy_polynomial_out():

@@ -14,6 +14,7 @@ from sarrusjump import (
     LinearSpring,
     LinkageGeometry,
     anchor_distance,
+    dl_dh,
     drive_force,
     height,
     integrate_decompression,
@@ -235,15 +236,37 @@ def test_scalar_api_and_integrator_agree_exactly():
 
 
 def test_leg_kernel_rejects_a_stale_positional_argument():
-    """The kernel binds its slack threshold when it is built, so a call in
-    the old form forces(theta, slack_at) fails loudly instead of reading
-    the extra argument as something else."""
+    """The kernel's slack threshold is lambda = 1, not an argument, so a
+    call in an old form, forces(theta, slack_at) or a slack_at given when
+    the kernel is built, fails loudly instead of reading the extra argument
+    as something else."""
     forces = leg_kernel(GEOM, MR.tension)
-    assert forces(0.3) == leg_kernel(GEOM, MR.tension, slack_at=1.0)(0.3)
     with pytest.raises(TypeError):
         forces(0.3, 1.0)
     with pytest.raises(TypeError):
         leg_kernel(GEOM, MR.tension, 1.0)
+    with pytest.raises(TypeError):
+        leg_kernel(GEOM, MR.tension, slack_at=1.0)
+
+
+@pytest.mark.parametrize("geom", (GEOM, EXACT), ids=("default", "exact"))
+def test_dl_dh_holds_at_slack_angles(geom):
+    """dl_dh is the geometric slope, band or no band: between the slack
+    angle (~1.389 rad) and pi/2 it is positive and within 1 ulp of the
+    closed forms sqrt(3) h / (4 (a cos(theta) + q)) and (sqrt(3) / 2)
+    sin(theta) / cos(theta)."""
+    theta_slack = math.acos(((geom.l0 - geom.c) / math.sqrt(3.0) - geom.q) / geom.a)
+    assert 1.38 < theta_slack < 1.40
+    for theta in np.linspace(theta_slack, math.pi / 2, 52)[1:-1].tolist():
+        assert stretch(geom, theta) < 1.0
+        if geom.exact_derivative:
+            want = math.sqrt(3.0) / 2.0 * math.sin(theta) / math.cos(theta)
+        else:
+            want = (math.sqrt(3.0) * height(geom, theta)
+                    / (4.0 * (geom.a * math.cos(theta) + geom.q)))
+        got = dl_dh(geom, theta)
+        assert got > 0.0
+        assert abs(got - want) <= math.ulp(want), theta
 
 
 def test_profile_and_trajectory_agree_exactly():
