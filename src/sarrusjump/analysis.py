@@ -127,7 +127,9 @@ class PortraitTrajectory:
     """One phase-plane trajectory released from (theta0, theta_dot0 = 0).
 
     energy = T + V - thrust work; constant along undamped trajectories.
-    status: closed | open | escaped | damped | failed
+    status: closed | open | escaped | damped | failed.  A damped leg that
+    sticks is stuck: its last sample is the stick instant, at rest.
+    rk4_steps counts the RK4 steps integrated, bisection probes included.
     """
 
     theta0: float
@@ -136,6 +138,8 @@ class PortraitTrajectory:
     theta_dot: np.ndarray
     energy: np.ndarray
     status: str
+    stuck: bool = False
+    rk4_steps: int = 0
 
 
 def phase_portrait(
@@ -152,8 +156,10 @@ def phase_portrait(
     each release point both forward and backward in time: the forward RK4
     run is integrated, and its mirror (t -> -t, theta_dot -> -theta_dot),
     which equals a backward run to the bit, supplies the backward half.
-    Damped releases are integrated forward only.  Failures are recorded
-    per trajectory, not raised.
+    Damped releases are integrated forward only, with the Coulomb
+    stick-slip of simulate_jump: a release that does not break free is one
+    sample at rest, and a trajectory ends where the leg sticks at a velocity
+    reversal.  Failures are recorded per trajectory, not raised.
     """
     t_span = finite("t_span", t_span, "positive")
     step = finite("step", step, "positive")
@@ -171,7 +177,7 @@ def phase_portrait(
 
 
 def _trace(dm, theta0, undamped, t_span, step):
-    t_f, th_f, om_f, en_f, exited_f = _integrate_raw(
+    t_f, th_f, om_f, en_f, end, rk4_steps = _integrate_raw(
         dm, theta0, 0.0, t_span, step, _PORTRAIT_BOUNDS)
     if not np.all(np.isfinite(th_f)):
         raise FloatingPointError(f"non-finite state from release {theta0}")
@@ -185,14 +191,15 @@ def _trace(dm, theta0, undamped, t_span, step):
         theta = np.concatenate([th_f[::-1], th_f[1:]])
         omega = np.concatenate([(0.0 - om_f)[::-1], om_f[1:]])
         energy = np.concatenate([en_f[::-1], en_f[1:]])
-        if exited_f:
+        if end == "exited":
             status = "escaped"
         else:
             status = "closed" if _returns_to_start(th_f, om_f, theta0) else "open"
     else:
         t, theta, omega, energy = t_f, th_f, om_f, en_f
-        status = "escaped" if exited_f else "damped"
-    return PortraitTrajectory(theta0, t, theta, omega, energy, status)
+        status = "escaped" if end == "exited" else "damped"
+    return PortraitTrajectory(theta0, t, theta, omega, energy, status,
+                              end == "stuck", rk4_steps)
 
 
 def _returns_to_start(theta, omega, theta0):

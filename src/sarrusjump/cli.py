@@ -159,11 +159,18 @@ def cmd_phase_portrait(args) -> int:
         name = f"portrait_{i:03d}.csv"
         write_csv(out / name, analysis.PORTRAIT_CSV_HEADER,
                   (traj.t, traj.theta, traj.theta_dot, traj.energy))
-        index.append({"file": name, "theta0": traj.theta0, "status": traj.status,
-                      "samples": len(traj.t)})
+        entry = {"file": name, "theta0": traj.theta0, "status": traj.status,
+                 "samples": len(traj.t), "rk4_steps": traj.rk4_steps}
+        if traj.stuck:
+            entry.update(stick_t=traj.t[-1], stick_theta=traj.theta[-1])
+        index.append(entry)
     write_json(out / "portrait_index.json",
                {"mu_C": run.masses.mu_C, "trajectories": index})
     print(f"wrote {len(trajectories)} trajectories and {out / 'portrait_index.json'}")
+    statuses = [traj.status for traj in trajectories]
+    tally = ", ".join(f"{status} {statuses.count(status)}"
+                      for status in dict.fromkeys(statuses))
+    print(f"trajectories: {tally}; {sum(traj.stuck for traj in trajectories)} stuck")
     return 0
 
 

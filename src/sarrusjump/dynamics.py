@@ -28,10 +28,15 @@ At take-off the momentum of the moving parts is shared with the foot,
 v0 = (m_T - m1) / m_T * hd(t_off), and the aerial phase is ballistic.
 
 Integration is fixed-step classical Runge-Kutta 4 with bisection refinement
-of the take-off and band slack/taut transitions.  sgn(0) = 0, plus an
-explicit static-friction check before motion starts; once the leg breaks
-free, friction slides against the net starting torque from the release
-instant on, so the first RK4 stage carries it too.
+of the take-off, the band slack/taut transitions and the velocity
+reversals.  The Coulomb term is a sliding mode: a leg at rest breaks free
+only if its net starting torque exceeds mu_C (the static check), and then
+slides in the direction sigma of that torque, with the constant friction
+torque -mu_C sigma from the release instant on, so the first RK4 stage
+carries it too.  Only a reversal, sigma theta_dot falling to zero at a step
+end, changes sigma: located by bisection, it splits the step, and there the
+leg sticks if the static check fails, or slides back in -sigma.  Undamped,
+no reversal is an event.
 
 solve_takeoff finds the same take-off without time stepping.  While
 theta_dot keeps the sign sigma of the release the Coulomb torque is
@@ -157,7 +162,7 @@ class Trajectory:
     termination: str
     termination_detail: str
     t_off: Optional[float]
-    friction_work: float  # integral of mu_C |theta_dot| dt [J]
+    friction_work: float  # integral of mu_C sigma theta_dot = mu_C |theta_dot| dt [J]
     thrust_work: float    # integral of F_y hd dt [J]
 
     def __len__(self):
@@ -226,21 +231,25 @@ class JumpSummary:
 class _LegDynamics:
     """Bound-parameter evaluator for the decompression equation of motion.
 
-    derivatives(theta, theta_dot) is the one evaluation of the model at a
-    state: the RK4 stages, the event tests (reaction) and the recorded
-    trajectory all read its tuple, so no state is passed through the kernel
-    twice.  derivatives_array(forces, theta_dot) takes arrays of states and
-    the leg_forces_array tuple of their angles, for the take-off solver.
-    Both come from one body, built once per design over the mass constants;
-    derivatives calls forces, the leg kernel built here, on theta.
-    inertia and torque are the one expression of the mass matrix D(theta)
-    and of the net torque from rest; reaction, inertia, torque, kinetic and
-    potential take floats or arrays.
+    sliding[sigma](theta, theta_dot), sigma in (-1.0, 0.0, 1.0), is the one
+    evaluation of the model at a state of a leg sliding in direction sigma:
+    the Coulomb torque is the constant mu_C sigma, so no sgn(theta_dot) is
+    taken, and the friction power is mu_C sigma theta_dot.  The RK4 stages,
+    the event tests (reaction) and the recorded trajectory all read its
+    tuple, so no state is passed through the kernel twice.  derivatives is
+    sliding[0.0], the evaluation without friction: at rest, for the static
+    checks, or undamped.  sliding_array[sigma](forces, theta_dot) takes
+    arrays of states and the leg_forces_array tuple of their angles, for the
+    take-off solver.  All six come from one body, built once per design over
+    the mass constants; the scalar ones call forces, the leg kernel built
+    here, on theta.  inertia and torque are the one expression of the mass
+    matrix D(theta) and of the net torque from rest; reaction, inertia,
+    torque, kinetic and potential take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "energy", "forces", "derivatives",
-                 "derivatives_array")
+                 "I4", "geom", "model", "energy", "forces", "sliding",
+                 "sliding_array", "derivatives")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
         a, a2, mu_C = geom.a, geom.a * geom.a, masses.mu_C
@@ -257,7 +266,12 @@ class _LegDynamics:
         m1a2_4, m1_4, a_2 = 4.0 * M1 * a2, 4.0 * M1, 2.0 * a
         g_m3, mu_4 = masses.g * M3, 4.0 * mu_C
 
-        def equation_of_motion(forces):
+        def equation_of_motion(forces, sigma):
+            # The Coulomb torque and friction power of a slide in direction
+            # sigma; where theta_dot has the sign of sigma they are the
+            # mu_4 sgn(theta_dot) and mu_C |theta_dot| of the model, to the bit.
+            friction, mu_sigma = mu_4 * sigma, mu_C * sigma
+
             def derivatives(theta, theta_dot):
                 """(theta_dot, theta_ddot, friction power, thrust power, sin,
                 cos, h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then
@@ -266,34 +280,42 @@ class _LegDynamics:
                 sin2 = 2.0 * s * co
                 cos2 = co * co - s * s
                 denom = a2 * (m1_4 * cos2 + M2) + I4
-                # sgn(theta_dot); "* 1" as numpy cannot subtract boolean arrays
-                sgn = (theta_dot > 0.0) * 1 - (theta_dot < 0.0)
                 num = (
                     m1a2_4 * sin2 * theta_dot * theta_dot
                     - a_2 * co * (g_m3 - 4.0 * f_y)
-                    - mu_4 * sgn
+                    - friction
                 )
                 tdd = num / denom
                 h_dot = a_2 * co * theta_dot
-                return (theta_dot, tdd, mu_C * abs(theta_dot), f_y * h_dot,
+                return (theta_dot, tdd, mu_sigma * theta_dot, f_y * h_dot,
                         s, co, h, lam, f_l, f_y, h_dot)
 
             return derivatives
 
         self.forces = leg_kernel(geom, model.tension)
-        self.derivatives = equation_of_motion(self.forces)
-        self.derivatives_array = equation_of_motion(lambda forces: forces)
+        directions = (-1.0, 0.0, 1.0)
+        self.sliding = {sigma: equation_of_motion(self.forces, sigma)
+                        for sigma in directions}
+        self.sliding_array = {sigma: equation_of_motion(lambda forces: forces, sigma)
+                              for sigma in directions}
+        self.derivatives = self.sliding[0.0]
 
     def inertia(self, s, co):
         """D(theta), the denominator of the equation of motion, from sin and
         cos of theta; derivatives() writes the same expression inline."""
         return self.a2 * (4.0 * self.M1 * (co * co - s * s) + self.M2) + self.I4
 
+    @staticmethod
+    def direction(d):
+        """The direction sigma in which a leg at rest in the derivatives()
+        tuple d starts to slide: that of its net starting torque."""
+        return 1.0 if d[1] > 0.0 else -1.0
+
     def release(self, d):
         """The derivatives() tuple d at rest, with the Coulomb torque
-        sliding against the net starting torque instead of sgn(0) = 0."""
-        direction = 1.0 if d[1] > 0.0 else -1.0
-        tdd = d[1] - 4.0 * self.mu_C * direction / self.inertia(d[4], d[5])
+        sliding against the net starting torque: the first k1 of a slide in
+        direction(d) from rest."""
+        tdd = d[1] - 4.0 * self.mu_C * self.direction(d) / self.inertia(d[4], d[5])
         return (d[0], tdd, *d[2:])
 
     def reaction(self, d):
@@ -323,9 +345,8 @@ class _LegDynamics:
         return abs(self.torque(d[5], d[9])) - self.mu_C
 
 
-def _rk4(dm: _LegDynamics, y, k1, dt):
-    """One classical RK4 step of size dt from y; k1 = dm.derivatives at y."""
-    derivatives = dm.derivatives
+def _rk4(derivatives, y, k1, dt):
+    """One classical RK4 step of size dt from y; k1 = derivatives at y."""
     th, om, wf, wi = y
     half = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k
     k2 = derivatives(th + half * k1[0], om + half * k1[1])
@@ -340,27 +361,47 @@ def _rk4(dm: _LegDynamics, y, k1, dt):
     )
 
 
-def _bisect_event(dm, y, k1, dt, y_hi, d_hi, crossing, tol_t):
+def _bisect_event(derivatives, y, k1, dt, y_hi, d_hi, crossing, tol_t):
     """First sub-step tau in (0, dt] where crossing(evaluation) flips negative.
 
     y_hi and d_hi are the state after the full step dt from y and its
     derivatives() tuple; k1 is the one at y.  crossing(d) must be > 0 at
-    tau = 0 and <= 0 at tau = dt.  Returns (tau, state, evaluation) on the
-    event side of the crossing.
+    tau = 0 and <= 0 at tau = dt.  Returns (tau, state, evaluation, probes)
+    on the event side of the crossing, probes the RK4 steps it took.
     """
     lo = 0.0
     hi = dt
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= tol_t:
-            break
+    probes = 0
+    while probes < _BISECT_MAX_ITER and hi - lo > tol_t:
+        probes += 1
         mid = 0.5 * (lo + hi)
-        y_mid = _rk4(dm, y, k1, mid)
-        d_mid = dm.derivatives(y_mid[0], y_mid[1])
+        y_mid = _rk4(derivatives, y, k1, mid)
+        d_mid = derivatives(y_mid[0], y_mid[1])
         if crossing(d_mid) > 0.0:
             lo = mid
         else:
             hi, y_hi, d_hi = mid, y_mid, d_mid
-    return hi, y_hi, d_hi
+    return hi, y_hi, d_hi, probes
+
+
+def _reversal(dm: _LegDynamics, sigma, y, d, dt, y_new, d_new, tol_t):
+    """The velocity reversal in a step dt from (y, d) to (y_new, d_new) of a
+    leg sliding in direction sigma, where sigma * theta_dot has fallen to
+    <= 0 at the step end: the one Coulomb stick-slip event.
+
+    Bisects the zero of sigma * theta_dot and returns (tau, state,
+    evaluation, sigma, probes) there.  A leg whose static margin is <= 0
+    sticks: sigma = 0, the state at rest (theta_dot = 0, the works as they
+    are) and its derivatives() tuple.  Otherwise it slides on in -sigma, the
+    tuple re-evaluated that way as the next k1.
+    """
+    tau, y, d, probes = _bisect_event(dm.sliding[sigma], y, d, dt, y_new, d_new,
+                                      lambda e: sigma * e[0], tol_t)
+    if dm.static_margin(d) <= 0.0:
+        y = (y[0], 0.0, y[2], y[3])
+        return tau, y, dm.derivatives(y[0], 0.0), 0.0, probes
+    sigma = -sigma
+    return tau, y, dm.sliding[sigma](y[0], y[1]), sigma, probes
 
 
 def takeoff_velocity(masses: MassModel, h_dot_off: float) -> float:
@@ -398,10 +439,11 @@ def integrate_decompression(
 
     Events, checked each step: take-off (ground reaction crosses zero with
     the head rising, bisection-refined), lost contact (the same zero with
-    the head falling), knee inversion (theta <= 0), the
-    pi/2 hard stop, the time horizon, and re-sticking after a velocity
-    reversal.  Band slack/taut transitions are bisection-refined and the
-    step is split there to preserve the integrator order.
+    the head falling), knee inversion (theta <= 0), the pi/2 hard stop, the
+    time horizon, and, damped, each velocity reversal (_reversal), where
+    the leg sticks or slides back.  Band slack/taut transitions and
+    reversals are bisection-refined and the step is split there to
+    preserve the integrator order.
 
     With record=False only the initial and terminal rows are kept.
     """
@@ -417,10 +459,13 @@ def integrate_decompression(
             "drive torque at rest does not exceed the Coulomb threshold",
             None, 0.0, 0.0,
         )
-    # d is the one derivatives() evaluation at the current state y: it is
-    # the next step's k1 and feeds the event tests and the recorded node.
-    # The leg breaks free, so friction slides from the first stage on.
+    # d is the one evaluation at the current state y: it is the next step's
+    # k1 and feeds the event tests and the recorded node.  The leg breaks
+    # free, so friction slides in sigma from the first stage on.
+    sigma = dm.direction(d)
     d = dm.release(d)
+    derivatives = dm.sliding[sigma]
+    damped = dm.mu_C > 0.0
     # The recorded nodes: their times, and theta then d of each, back to
     # back in one flat list of floats, so that no per-node container
     # outlives its step for the garbage collector to traverse.
@@ -430,7 +475,7 @@ def integrate_decompression(
     detail = "time horizon exceeded before take-off"
     t_off = None
 
-    derivatives, reaction = dm.derivatives, dm.reaction
+    reaction = dm.reaction
     t_max = options.t_max
     t_end, half_pi = t_max - 1e-15, math.pi / 2
     t = 0.0
@@ -441,21 +486,35 @@ def integrate_decompression(
         dt = t_max - t
         if dt > dt_nom:  # min(dt_nom, t_max - t)
             dt = dt_nom
-        y_new = _rk4(dm, y, d, dt)
+        y_new = _rk4(derivatives, y, d, dt)
         d_new = derivatives(y_new[0], y_new[1])
         fn_new = reaction(d_new)[1]
 
-        off = slack = None  # (tau, state, evaluation) of each event in this step
+        # (tau, state, evaluation, ...) of each event in this step
+        off = slack = turn = None
         if fn_prev > 0.0 >= fn_new:
             off = _bisect_event(
-                dm, y, d, dt, y_new, d_new, lambda e: reaction(e)[1], tol_t)
+                derivatives, y, d, dt, y_new, d_new, lambda e: reaction(e)[1], tol_t)
         if (d[7] - 1.0) * (d_new[7] - 1.0) < 0.0:  # lambda crosses 1
             sign = 1.0 if d[7] > 1.0 else -1.0
             slack = _bisect_event(
-                dm, y, d, dt, y_new, d_new, lambda e: sign * (e[7] - 1.0), tol_t)
+                derivatives, y, d, dt, y_new, d_new, lambda e: sign * (e[7] - 1.0),
+                tol_t)
+        if damped and sigma * y_new[1] <= 0.0:
+            turn = _reversal(dm, sigma, y, d, dt, y_new, d_new, tol_t)
 
-        if off is not None and (slack is None or off[0] <= slack[0]):
-            tau, y, d = off
+        split = slack
+        if turn is not None and all(e is None or turn[0] < e[0] for e in (off, slack)):
+            tau, y, d, sigma, _ = turn
+            if not sigma:
+                t += tau
+                termination = STICTION
+                detail = "the leg stopped and stuck below the Coulomb threshold"
+                break
+            derivatives = dm.sliding[sigma]  # sliding back from the reversal on
+            split, off = turn, None
+        if off is not None and (split is None or off[0] <= split[0]):
+            tau, y, d, _ = off
             t += tau
             if d[10] > 0.0:  # the head rises: take-off
                 termination = TAKE_OFF
@@ -465,9 +524,10 @@ def integrate_decompression(
                 termination = CONTACT_LOST
                 detail = "ground reaction force reached zero with the head falling"
             break
-        if slack is not None:
-            # Split the step at the stiffness kink; continue integrating.
-            tau, y, d = slack
+        if split is not None:
+            # Split the step at the stiffness kink or the reversal; continue
+            # integrating.
+            tau, y, d = split[:3]
             t += tau
             if record:
                 ts.append(t)
@@ -487,10 +547,6 @@ def integrate_decompression(
         if y[0] >= half_pi:
             termination = HORIZON_EXCEEDED
             detail = "leg reached the pi/2 hard stop before take-off"
-            break
-        if y[1] < 0.0 and dm.static_margin(d) <= 0.0:
-            termination = STICTION
-            detail = "decompression reversed and re-stuck below the Coulomb threshold"
             break
         if record:
             ts.append(t)
@@ -645,7 +701,15 @@ def _integral(values, half):
 
 
 def _chebyshev_value(coefficients, x):
-    """sum_j coefficients[j] T_j(x), for x in [-1, 1]."""
+    """sum_j coefficients[j] T_j(x), for x in [-1, 1]: by Clenshaw's
+    recurrence on Python floats for a float x (coefficients a list), and as
+    sum_j coefficients[j] cos(j arccos x) for an array."""
+    if isinstance(x, float):
+        x = min(max(x, -1.0), 1.0)
+        x2, b1, b2 = 2.0 * x, 0.0, 0.0
+        for c in coefficients[:0:-1]:
+            b1, b2 = c + x2 * b1 - b2, b1
+        return coefficients[0] + x * b1 - b2
     angle = np.arccos(np.clip(x, -1.0, 1.0))
     return (np.cos(np.multiply.outer(angle, np.arange(len(coefficients)))) * coefficients).sum(-1)
 
@@ -748,7 +812,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     geom = dm.geom
     if dm.static_margin(d0) <= 0.0:
         return None
-    sigma = 1.0 if d0[1] > 0.0 else -1.0  # the direction of dm.release(d0)
+    sigma = dm.direction(d0)
     if sigma < 0.0 and dm.mu_C > 0.0:
         return None  # contact lost, knee inversion or a damped reversal
     cos_slack = ((geom.l0 - geom.c) / SQRT3 - geom.q) / geom.a
@@ -776,7 +840,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     start = np.concatenate([[0.0], np.cumsum(energy.sum(-1))[:-1]])
     kinetic = start[:, None] + np.einsum("pj,jk->pk", energy, at_nodes)
     theta_dot = sigma * np.sqrt(8.0 * np.maximum(kinetic, 0.0) / inertia)
-    f_n = dm.reaction(dm.derivatives_array(forces, theta_dot))[1].ravel()
+    f_n = dm.reaction(dm.sliding_array[sigma](forces, theta_dot))[1].ravel()
     s_flat, t_flat, breaks = s.ravel(), kinetic.ravel(), edges.tolist()
     turn = np.flatnonzero(t_flat <= 0.0)
     turn = turn[0] if turn.size else t_flat.size  # first node past a turning point
@@ -784,9 +848,12 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     if turn == 0 or (below.size and (below[0] == 0 or sigma < 0.0)):
         return None
 
+    derivatives = dm.sliding[sigma]
+    los, halves, starts, rows = lo.tolist(), half.tolist(), start.tolist(), energy.tolist()
+
     def kinetic_at(k, si):
-        """T at si, a float or an array inside piece k."""
-        return start[k] + _chebyshev_value(energy[k], (si - lo[k]) / half[k] - 1.0)
+        """T at si, a float inside piece k."""
+        return starts[k] + _chebyshev_value(rows[k], (si - los[k]) / halves[k] - 1.0)
 
     def piece(si):
         """The piece holding si; s_end belongs to the last one."""
@@ -799,7 +866,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
             return (math.nan,) * 11
         th = th0 + sigma * si * si
         speed = math.sqrt(8.0 * t_kin / dm.inertia(math.sin(th), math.cos(th)))
-        return dm.derivatives(th, sigma * speed)
+        return derivatives(th, sigma * speed)
 
     if not below.size:
         # No zero of F_N: the leg reaches pi/2 on the ground, or (undamped)
@@ -841,7 +908,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     t_off = float(_integral(2.0 * s[:k] / theta_dot[:k], half[:k]).sum())
     part = 0.5 * (s_off - lo[k])
     sp = lo[k] + part * (x + 1.0)
-    t_kin = kinetic_at(k, sp)
+    t_kin = start[k] + _chebyshev_value(energy[k], (sp - lo[k]) / half[k] - 1.0)
     if not t_kin.min() > 0.0:
         return None
     thp = th0 + sp * sp
@@ -850,30 +917,84 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     return t_off, d_off[10]
 
 
+class _RawRun(NamedTuple):
+    """The nodes of one _integrate_raw run and how it ended."""
+
+    t: np.ndarray
+    theta: np.ndarray
+    theta_dot: np.ndarray
+    energy: np.ndarray  # T + V - thrust work
+    end: str            # "span", "exited" (a bounds exit) or "stuck"
+    rk4_steps: int      # every RK4 step taken, bisection probes included
+
+
+# The bisection tolerance of a portrait's velocity reversals [s], 31
+# probes from the default portrait step of 2e-4 s: an error in the
+# reversal instant puts an error of the same order into theta_dot after it.
+_REVERSAL_TOL = 1e-13
+
+
 def _integrate_raw(dm: _LegDynamics, theta0: float, theta_dot0: float,
                    t_span: float, step: float, bounds: tuple[float, float]):
-    """Event-free fixed-step integration of the bare leg dynamics.
+    """Fixed-step integration of the bare leg dynamics, for phase portraits
+    and stability probes, with no event but a bounds exit and, damped, the
+    Coulomb stick-slip of integrate_decompression.
 
-    Used for phase portraits and stability probes.  Returns (t, theta,
-    theta_dot, energy, exited) where energy = T + V - thrust work, which is
-    conserved along undamped trajectories, and exited flags a bounds exit.
+    A damped leg released from rest that does not break free stays there;
+    one that does slides in sigma from the release, and at each velocity
+    reversal (_reversal) sticks or slides back.  The step to a reversal is
+    split there, so the nodes stay on the uniform grid t = i * dt, and a
+    leg that sticks ends on one more node at the stick instant, at rest.
+    Undamped, no event fires.  Returns a _RawRun; its energy is conserved
+    along undamped trajectories.
     """
     n = max(int(round(t_span / step)), 1)
     dt = t_span / n
-    derivatives = dm.derivatives
     lo, hi = bounds
+    damped = dm.mu_C > 0.0
     y = (theta0, theta_dot0, 0.0, 0.0)
     states = list(y)  # flat, as the nodes of integrate_decompression
-    exited = False
-    for _ in range(n):
-        y = _rk4(dm, y, derivatives(y[0], y[1]), dt)
+    end, t_stick, rk4_steps = "span", None, 0
+    if theta_dot0 != 0.0:
+        sigma = math.copysign(1.0, theta_dot0)
+        d = dm.sliding[sigma](theta0, theta_dot0)
+    else:
+        d = dm.derivatives(theta0, 0.0)
+        sigma = dm.direction(d)
+        if damped and dm.static_margin(d) <= 0.0:
+            end, t_stick, n = "stuck", 0.0, 0  # no step: the release node alone
+        d = dm.release(d)
+    derivatives = dm.sliding[sigma]
+    i, left = 0, dt  # grid steps taken, and the time left to the next node
+    while i < n:
+        y_new = _rk4(derivatives, y, d, left)
+        d_new = derivatives(y_new[0], y_new[1])
+        rk4_steps += 1
+        if damped and sigma * y_new[1] <= 0.0:
+            tau, y, d, sigma, probes = _reversal(dm, sigma, y, d, left, y_new, d_new,
+                                                 _REVERSAL_TOL)
+            rk4_steps += probes
+            if not sigma:
+                end, t_stick = "stuck", i * dt + (dt - left) + tau
+                states += y
+                break
+            derivatives = dm.sliding[sigma]
+            left -= tau
+            if left > 0.0:
+                continue  # the rest of the step, sliding back
+            y_new, d_new = y, d
+        y, d = y_new, d_new
         states += y
+        i, left = i + 1, dt
         if not (lo <= y[0] <= hi):
-            exited = True
+            end = "exited"
             break
     states = np.fromiter(states, float, len(states)).reshape(-1, 4)
     theta, theta_dot, _, thrust_work = states.T
     s, co = np.sin(theta), np.cos(theta)
     energy = dm.kinetic(s, co, theta_dot) + dm.potential(s) - thrust_work
     # node i sits at i * dt, the same IEEE product as in Python floats
-    return np.arange(len(theta)) * dt, theta, theta_dot, energy, exited
+    t = np.arange(len(theta)) * dt
+    if t_stick is not None:
+        t[-1] = t_stick
+    return _RawRun(t, theta, theta_dot, energy, end, rk4_steps)

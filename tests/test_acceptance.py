@@ -153,8 +153,8 @@ def test_criterion_07_equilibria():
     ok_center = bool(centers) and abs(theta_star - 1.3) <= 0.05
 
     dm = _LegDynamics(GEOM, MR, M_FREE)
-    _, th_pos, _, _, _ = _integrate_raw(dm, 1e-3, +0.05, 0.5, 1e-5, (-0.3, 1.2))
-    _, th_neg, _, _, _ = _integrate_raw(dm, 1e-3, -0.05, 0.5, 1e-5, (-0.3, 1.2))
+    th_pos = _integrate_raw(dm, 1e-3, +0.05, 0.5, 1e-5, (-0.3, 1.2)).theta
+    th_neg = _integrate_raw(dm, 1e-3, -0.05, 0.5, 1e-5, (-0.3, 1.2)).theta
     ok_saddle = th_pos[-1] > 0.5 and th_neg[-1] < 0.0
 
     # Known divergence for the nominal knee-anchor offsets: the band slack

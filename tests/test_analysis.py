@@ -170,10 +170,8 @@ def test_saddle_separatrix_behaviour_single_pin():
     eqs = find_equilibria(pin, band, M_FREE, FULL_RANGE)
     saddle = [e for e in eqs if e.kind == SADDLE][0]
     dm = _LegDynamics(pin, band, M_FREE)
-    _, th_pos, _, _, _ = _integrate_raw(dm, saddle.theta_star, +0.05, 0.5, 1e-5,
-                                        (-0.3, 1.2))
-    _, th_neg, _, _, _ = _integrate_raw(dm, saddle.theta_star, -0.05, 0.5, 1e-5,
-                                        (-0.3, 1.2))
+    th_pos = _integrate_raw(dm, saddle.theta_star, +0.05, 0.5, 1e-5, (-0.3, 1.2)).theta
+    th_neg = _integrate_raw(dm, saddle.theta_star, -0.05, 0.5, 1e-5, (-0.3, 1.2)).theta
     assert th_pos[-1] > saddle.theta_star + 0.5
     assert th_neg[-1] < 0.0
 
@@ -224,7 +222,7 @@ def backward_reference(dm, theta0, t_span, step, bounds):
     exited = False
     for i in range(1, n + 1):
         y = states[-1]
-        states.append(_rk4(dm, y, dm.derivatives(y[0], y[1]), dt))
+        states.append(_rk4(dm.derivatives, y, dm.derivatives(y[0], y[1]), dt))
         ts.append(i * dt)
         if not (bounds[0] <= states[-1][0] <= bounds[1]):
             exited = True

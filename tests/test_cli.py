@@ -279,6 +279,27 @@ def test_phase_portrait_command(tmp_path):
     assert statuses[1.35] == "closed"
 
 
+def test_phase_portrait_command_reports_sticks(tmp_path, capsys):
+    """portrait_index.json records each trajectory's RK4 steps, and the
+    stick instant and angle of a damped leg that sticks, which is the last
+    CSV row; stdout tallies the statuses."""
+    out = tmp_path / "portrait"
+    rc = main(["phase-portrait", "--out", str(out), "--release", "0.3",
+               "--release", "1.275", "--release", "1.45"])
+    assert rc == 0
+    assert "trajectories: escaped 1, damped 2; 2 stuck" in capsys.readouterr().out
+    escaped, damped, still = json.loads((out / "portrait_index.json").read_text())[
+        "trajectories"]
+    assert escaped["status"] == "escaped" and "stick_t" not in escaped
+    assert escaped["rk4_steps"] == escaped["samples"] - 1
+    assert damped["status"] == "damped" and damped["rk4_steps"] > damped["samples"]
+    last = (out / "portrait_001.csv").read_text().splitlines()[-1].split(",")
+    assert [float(last[0]), float(last[1]), float(last[2])] == [
+        damped["stick_t"], damped["stick_theta"], 0.0]
+    assert (still["samples"], still["rk4_steps"], still["stick_t"],
+            still["stick_theta"]) == (1, 0, 0.0, 1.45)
+
+
 def test_identify_mu_command(tmp_path):
     out = tmp_path / "ident"
     rc = main(["identify-mu", "--out", str(out), "--target-v0", "2.9",

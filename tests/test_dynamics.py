@@ -156,9 +156,16 @@ def test_efficiency_bounds_and_errors():
 
 # ── group 3: the governing equation ───────────────────────────────────────
 
+def direction(theta_dot):
+    """sgn(theta_dot): the sliding direction of a leg that moves, 0 at rest."""
+    return (theta_dot > 0.0) - (theta_dot < 0.0)
+
+
 def theta_ddot(masses, theta, theta_dot):
-    """Angular acceleration of the reference leg at (theta, theta_dot)."""
-    return dynamics._LegDynamics(GEOM, MR, masses).derivatives(theta, theta_dot)[1]
+    """Angular acceleration of the reference leg at (theta, theta_dot),
+    sliding the way it moves."""
+    dm = dynamics._LegDynamics(GEOM, MR, masses)
+    return dm.sliding[direction(theta_dot)](theta, theta_dot)[1]
 
 
 def test_acceleration_positive_at_squat():
@@ -320,11 +327,12 @@ def test_sparse_recording():
 def _observe(dm, model, t, theta, theta_dot, released=True):
     """One trajectory row evaluated per node with scalar math, as the
     recorder did before it derived whole columns: the kernel at (theta,
-    theta_dot), with friction sliding at the release node of a leg that
-    breaks free, the reaction, the energies with math.sin and math.cos (the
-    kinetic one as D(theta) theta_dot^2 / 8, D the denominator of the
-    equation of motion), and the slack clamp as a branch."""
-    d = dm.derivatives(theta, theta_dot)
+    theta_dot), with friction sliding the way the leg moves (none at rest)
+    and, at the release node of a leg that breaks free, the way it starts;
+    the reaction, the energies with math.sin and math.cos (the kinetic one
+    as D(theta) theta_dot^2 / 8, D the denominator of the equation of
+    motion), and the slack clamp as a branch."""
+    d = dm.sliding[direction(theta_dot)](theta, theta_dot)
     if t == 0.0 and released:
         d = dm.release(d)
     _, _, _, _, _, _, h, lam, f_l, f_y, h_dot = d
@@ -378,6 +386,9 @@ def test_recorded_columns_equal_per_row_evaluation(case):
     if case == "slack_hard_stop":  # a step split at the slack point, slack rows after it
         assert np.any(np.diff(traj.t[:-1]) < 0.99e-4)
         assert np.any(traj.lam < 1.0)
+    if case == "stiction_restuck":  # slides back at reversals, then sticks at rest
+        assert np.count_nonzero(np.diff(np.sign(traj.theta_dot[1:-1]))) >= 2
+        assert traj.theta_dot[-1] == 0.0 and np.diff(traj.t)[-1] < 0.99e-4
 
 
 def test_exact_mode_energy_identity_undamped():
@@ -470,6 +481,170 @@ def test_release_friction_opposes_the_starting_torque():
     assert free.release(free.derivatives(0.066, 0.0)) == free.derivatives(0.066, 0.0)
 
 
+def stick_slip_oracle(geom, model, masses, theta0, t_max, n=100_001):
+    """The turning points [(theta, t), ...] of a damped leg released from
+    rest at theta0, from the release to the one where it sticks, from the
+    first integral; None where the leg reaches 0 or pi/2, or t_max, first.
+
+    Between reversals the Coulomb torque is the constant sigma mu_C, so the
+    kinetic energy T(theta) = integral of (torque - sigma mu_C) from the
+    last turning point, by the trapezoid rule, with torque the net torque
+    from rest (_LegDynamics.torque).  The next turning point is the next
+    zero of T: bracketed on a uniform grid, then refined by Newton on a grid
+    theta = a + (b - a) (1 - cos phi) / 2, on which the time
+    integral of 1 / |theta_dot| = sqrt(D / 8 T) stays bounded at both ends.
+    The leg sticks at the first turning point, the release included, where
+    |torque| <= mu_C, and otherwise slides back against its torque."""
+    dm = dynamics._LegDynamics(geom, model, masses)
+    mu = masses.mu_C
+
+    def torque(theta):
+        _, co, _, _, _, f_y = leg_forces_array(geom, model, np.asarray(theta, float))
+        return dm.torque(co, f_y)
+
+    def kinetic(theta, sigma):
+        q = torque(theta) - sigma * mu
+        return q, np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(theta))])
+
+    phi = np.linspace(0.0, math.pi, n)
+    turns = [(theta0, 0.0)]
+    a, t = theta0, 0.0
+    while abs(torque(a)) > mu:
+        sigma = math.copysign(1.0, torque(a))
+        grid = np.linspace(a, 0.5 * math.pi if sigma > 0.0 else 0.0, n)
+        _, T = kinetic(grid, sigma)
+        back = np.flatnonzero(T[1:] <= 0.0)
+        if not back.size:
+            return None
+        k = back[0] + 1
+        b = grid[k - 1] + (grid[k] - grid[k - 1]) * T[k - 1] / (T[k - 1] - T[k])
+        for _ in range(4):  # Newton on T(b) = 0; dT/db is the net torque q
+            theta = a + (b - a) * 0.5 * (1.0 - np.cos(phi))
+            q, T = kinetic(theta, sigma)
+            b -= T[-1] / q[-1]
+        theta = a + (b - a) * 0.5 * (1.0 - np.cos(phi))
+        _, T = kinetic(theta, sigma)
+        inner = theta[1:-1]
+        inertia = dm.inertia(np.sin(inner), np.cos(inner))
+        f = np.empty(n)  # d theta / d phi / |theta_dot|
+        f[1:-1] = abs(b - a) * 0.5 * np.sin(phi[1:-1]) / np.sqrt(8.0 * T[1:-1] / inertia)
+        f[0], f[-1] = 2.0 * f[1] - f[2], 2.0 * f[-2] - f[-3]  # the limits at the ends
+        t += float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(phi)))
+        if t > t_max:
+            return None
+        a = b
+        turns.append((a, t))
+    return turns
+
+
+def reversal_nodes(traj):
+    """(theta, t) of the recorded nodes at each velocity reversal, where
+    theta_dot has taken the sign of the slide back, and of the last node."""
+    sign = np.sign(traj.theta_dot[1:-1])
+    at = np.flatnonzero(sign[1:] != sign[:-1]) + 2
+    return [(traj.theta[i], traj.t[i]) for i in (*at, -1)]
+
+
+# name -> (masses, theta0): damped runs that stop and stick, one while
+# rising with a foot too heavy to lift (in a uniform step that kept
+# creeping until t_max before reversals were events), and two that slide
+# back and forth about the equilibrium centre 7 and 15 times first.
+STICKING_RUNS = {
+    "rising_m1_50": (nominal_masses(m1=50.0, mu_C=MU_IDENTIFIED), 1.35),
+    "rising_m1_50_1.3": (nominal_masses(m1=50.0, mu_C=MU_IDENTIFIED), 1.3),
+    "restuck_1e-3": (nominal_masses(mu_C=1e-3), 1.45),
+    "restuck_5e-4": (nominal_masses(mu_C=5e-4), 1.45),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STICKING_RUNS))
+def test_stick_slip_matches_the_first_integral(case):
+    """simulate_jump stops with Stiction where the first integral sticks,
+    at the stick instant and at rest, and reverses at its turning points:
+    angles to 1e-9 rad and times to 1e-8 s."""
+    masses, theta0 = STICKING_RUNS[case]
+    oracle = stick_slip_oracle(GEOM, MR, masses, theta0, t_max=1.0)
+    traj, summary = simulate_jump(GEOM, MR, masses,
+                                  sim_options(step=2e-5, event_tolerance=1e-12,
+                                              theta0=theta0))
+    assert summary.termination == STICTION
+    assert traj.theta_dot[-1] == 0.0
+    got = reversal_nodes(traj)
+    assert len(got) == len(oracle) - 1 >= 1
+    for (theta, t), (theta_o, t_o) in zip(got, oracle[1:]):
+        assert theta == pytest.approx(theta_o, abs=1e-9)
+        assert t == pytest.approx(t_o, abs=1e-8)
+
+
+def test_rising_stick_converges_in_the_step():
+    """A leg that comes to rest while rising sticks there: with m1 = 50 and
+    theta0 = 1.35 the run ends with Stiction near 1.367 rad, at one angle
+    for steps 4e-5 to 5e-6 (without the reversal event it crept on to
+    1.37205 / 1.36953 / 1.36822 / 1.36758 rad at t_max, first order)."""
+    masses, theta0 = STICKING_RUNS["rising_m1_50"]
+    ends = []
+    for step in (4e-5, 2e-5, 1e-5, 5e-6):
+        traj, summary = simulate_jump(
+            GEOM, MR, masses,
+            sim_options(step=step, event_tolerance=1e-12, theta0=theta0), record=False)
+        assert summary.termination == STICTION
+        ends.append(traj.theta[-1])
+    assert ends[0] == pytest.approx(1.367, abs=1e-3)
+    assert np.ptp(ends) < 1e-12
+
+
+def test_reversing_audit_residual_falls_at_fourth_order():
+    """The audit residual of a damped run that reverses seven times before
+    it sticks falls by at least 12x per step halving (2^4 = 16 for RK4)."""
+    masses, theta0 = STICKING_RUNS["restuck_1e-3"]
+    relative = []
+    for step in (2e-4, 1e-4, 5e-5):
+        _, summary = simulate_jump(
+            GEOM, MR, masses,
+            sim_options(step=step, event_tolerance=1e-12, theta0=theta0), record=False)
+        assert summary.termination == STICTION
+        audit = summary.audit
+        relative.append(abs(audit.residual_J) / abs(audit.thrust_work_J))
+    assert relative[0] > 1e-11
+    assert relative[0] / relative[1] >= 12.0 and relative[1] / relative[2] >= 12.0, relative
+
+
+# release -> (angle, time) tolerance of a damped portrait's stick at the
+# default step 2e-4: releases that stop below the band slack angle
+# (~1.389 rad) to the integrator's error; the two that rise past it to the
+# 5.5e-6 rad error of the step across the slack kink, which portraits do
+# not split (ROADMAP item 2).
+PORTRAIT_STICKS = {1.275: (1e-5, 1e-6), 1.3: (1e-5, 1e-6), 1.33: (1e-9, 1e-9),
+                   1.34: (1e-9, 1e-9), 1.35: (1e-9, 1e-9)}
+
+
+@pytest.mark.parametrize("theta0", sorted(PORTRAIT_STICKS))
+def test_damped_portrait_sticks_where_the_first_integral_does(theta0):
+    """A damped portrait ends where the leg sticks: its last sample is at
+    rest at the oracle's stick angle and instant, after samples on the
+    uniform grid; its status stays damped, and its energy never rises."""
+    [(theta_o, t_o)] = stick_slip_oracle(GEOM, MR, M_DAMPED, theta0, t_max=1.5)[1:]
+    [traj] = phase_portrait(GEOM, MR, M_DAMPED, [theta0])
+    assert (traj.status, traj.stuck) == ("damped", True)
+    tol_theta, tol_t = PORTRAIT_STICKS[theta0]
+    assert traj.theta[-1] == pytest.approx(theta_o, abs=tol_theta)
+    assert traj.t[-1] == pytest.approx(t_o, abs=tol_t)
+    assert traj.theta_dot[-1] == 0.0
+    assert np.array_equal(traj.t[:-1], np.arange(traj.t.size - 1) * 2e-4)
+    assert np.all(np.diff(traj.energy) <= 1e-12)
+
+
+@pytest.mark.parametrize("theta0", (1.4, 1.45))
+def test_damped_release_below_the_threshold_does_not_move(theta0):
+    """Releases whose static margin is negative, 1.4 and 1.45 with the
+    identified damping, give one sample at rest and no RK4 step."""
+    assert stiction_threshold(GEOM, MR, M_FREE, theta0) < MU_IDENTIFIED
+    [traj] = phase_portrait(GEOM, MR, M_DAMPED, [theta0])
+    assert (traj.status, traj.stuck, traj.rk4_steps) == ("damped", True, 0)
+    assert traj.t.tolist() == [0.0] and traj.theta.tolist() == [theta0]
+    assert traj.theta_dot.tolist() == [0.0]
+
+
 def test_take_off_velocity_monotone_in_damping():
     mus = np.linspace(0.0, 0.024, 10)
     v0s = []
@@ -524,8 +699,9 @@ def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
 
 def test_portrait_kernel_counts(monkeypatch):
     """A phase portrait builds one kernel and evaluates it 4 times per RK4
-    step: the nominal releases 0.3 and 1.4 over 1 s, once undamped (each
-    forward run mirrored) and once damped."""
+    step, plus once at each release: the nominal releases 0.3 and 1.4 over
+    1 s, once undamped (each forward run mirrored) and once damped, where
+    1.4 does not break free."""
     calls = count_kernels(monkeypatch)
     run = build_config(default_config())
     undamped = replace(run.masses, mu_C=0.0)
@@ -536,9 +712,9 @@ def test_portrait_kernel_counts(monkeypatch):
                                   t_span=1.0)
         assert calls["builds"] == before + 1
         samples += [len(tr.t) for tr in portrait]
-    assert samples == [637, 10001, 346, 5001]
-    assert calls == {"builds": 2, "kernel": 42652, "rk4": 10663}
-    assert calls["kernel"] == 4 * calls["rk4"]
+    assert samples == [637, 10001, 346, 1]
+    assert calls == {"builds": 2, "kernel": 22656, "rk4": 5663}
+    assert calls["kernel"] == 4 * calls["rk4"] + 4
 
 
 def test_first_integral_takeoff_builds_one_kernel(monkeypatch):
@@ -653,10 +829,11 @@ def test_sweeps_fall_back_only_for_knee_inversion(parameter, sets, knee_points,
 @pytest.mark.parametrize("exact", (False, True))
 @pytest.mark.parametrize("law", sorted(BAND_LAWS))
 def test_derivatives_array_equals_scalar_kernel(law, exact):
-    """derivatives_array on the leg_forces_array tuple returns the scalar
-    tuple to the bit, at rest and moving either way, damped, over the whole
-    range and past both ends; and inertia and torque, the D(theta) and net
-    torque the solver integrates, give its undamped theta_ddot at rest."""
+    """sliding_array on the leg_forces_array tuple returns the scalar
+    sliding tuple to the bit, in each sliding direction, at rest and moving
+    either way, damped, over the whole range and past both ends; and
+    inertia and torque, the D(theta) and net torque the solver integrates,
+    give its undamped theta_ddot at rest."""
     geom = replace(GEOM, exact_derivative=exact)
     dm = dynamics._LegDynamics(geom, BAND_LAWS[law], M_DAMPED)
     rng = np.random.default_rng(8)
@@ -664,16 +841,37 @@ def test_derivatives_array_equals_scalar_kernel(law, exact):
     theta_dot = rng.uniform(-60.0, 60.0, theta.size)
     theta_dot[::4] = 0.0
     forces = leg_forces_array(geom, BAND_LAWS[law], theta)
-    got = dm.derivatives_array(forces, theta_dot)
-    want = np.array([dm.derivatives(th, om)
-                     for th, om in zip(theta.tolist(), theta_dot.tolist())]).T
-    for column, (array, scalar) in enumerate(zip(got, want)):
-        assert array.dtype == np.float64
-        assert np.array_equal(array, scalar), column
+    assert dm.derivatives is dm.sliding[0.0]
+    for sigma in (-1.0, 0.0, 1.0):
+        got = dm.sliding_array[sigma](forces, theta_dot)
+        want = np.array([dm.sliding[sigma](th, om)
+                         for th, om in zip(theta.tolist(), theta_dot.tolist())]).T
+        for column, (array, scalar) in enumerate(zip(got, want)):
+            assert array.dtype == np.float64
+            assert np.array_equal(array, scalar), (sigma, column)
     free = dynamics._LegDynamics(geom, BAND_LAWS[law], replace(M_DAMPED, mu_C=0.0))
     s, co, _, _, _, f_y = forces
-    rest = free.derivatives_array(forces, np.zeros_like(theta))[1]
+    rest = free.sliding_array[0.0](forces, np.zeros_like(theta))[1]
     assert np.array_equal(4.0 * free.torque(co, f_y) / free.inertia(s, co), rest)
+
+
+@pytest.mark.parametrize("law", sorted(BAND_LAWS))
+def test_sliding_equals_the_sgn_model_where_the_leg_moves_that_way(law):
+    """Where theta_dot has the sign of sigma, sliding[sigma] is the model's
+    equation of motion with -4 mu_C sgn(theta_dot) and friction power
+    mu_C |theta_dot|, written out here from inertia, torque and the kernel,
+    to a few ulps; the RK4 hot path takes no sgn."""
+    dm = dynamics._LegDynamics(GEOM, BAND_LAWS[law], M_DAMPED)
+    rng = np.random.default_rng(16)
+    for th, om in zip(rng.uniform(0.05, 1.5, 2000).tolist(),
+                      rng.uniform(-30.0, 30.0, 2000).tolist()):
+        d = dm.sliding[direction(om)](th, om)
+        s, co, _, _, _, f_y = dm.forces(th)
+        inertia = dm.inertia(s, co)
+        coriolis = 8.0 * dm.M1 * dm.a2 * s * co * om * om
+        sgn_model = (coriolis + 4.0 * dm.torque(co, f_y) - 4.0 * dm.mu_C * direction(om)) / inertia
+        assert d[1] == pytest.approx(sgn_model, rel=1e-12, abs=1e-9)
+        assert d[2] == dm.mu_C * abs(om)
 
 
 def test_package_import_leaves_numpy_polynomial_out():
