@@ -70,21 +70,22 @@ def find_equilibria(
     """Equilibria of the undamped dynamics on the interval.
 
     Roots of the net torque from rest, _LegDynamics.torque, are located by
-    a sign scan over n_scan points (array kernel) followed by Brent
-    refinement (the scalar kernel of the same _LegDynamics), then
-    classified through the Jacobian of the (theta, theta_dot) system: a
-    real +/- eigenvalue pair is a saddle, an imaginary pair a center.
+    a sign scan over n_scan points (leg_forces_array) followed by Brent
+    refinement on derivatives(theta, 0) of the same _LegDynamics, whose
+    cos(theta) and F_y equal the scan's to the bit, then classified through
+    the Jacobian of the (theta, theta_dot) system: a real +/- eigenvalue
+    pair is a saddle, an imaginary pair a center.
     Friction is ignored here because the Coulomb term is not differentiable
     at rest.
     """
     dm = _LegDynamics(geom, model, _undamped(masses))
 
     def torque(th):
-        _, co, _, _, _, f_y = dm.forces(th)
-        return dm.torque(co, f_y)
+        d = dm.derivatives(th, 0.0)
+        return dm.torque(d[5], d[9])
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
-    _, co, _, _, _, f_y = leg_forces_array(geom, model, grid)
+    _, co, _, _, _, f_y = leg_forces_array(geom, model.tension, grid)
     values = dm.torque(co, f_y)  # torque(grid), to the bit
     scale = float(np.max(np.abs(values))) or 1.0
 

@@ -62,8 +62,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .elastic import ElasticModel
-from .geometry import SQRT3, LinkageGeometry, finite_fields
-from .thrust import leg_forces_array, leg_kernel
+from .geometry import ARM_FLOOR, SQRT3, LinkageGeometry, finite_fields
+from .thrust import leg_forces_array
 
 TAKE_OFF = "TakeOff"
 STICTION = "Stiction"
@@ -141,7 +141,7 @@ class SimOptions:
 class Trajectory:
     """Decompression time series plus termination metadata.
 
-    All columns are parallel arrays, built once from the recorded kernel
+    All columns are parallel arrays, built once from the recorded RHS
     evaluations; h, hd, hdd come from (theta, theta_dot, theta_ddot) of the
     same node, so they are consistent with theta by construction.
     """
@@ -235,38 +235,41 @@ class _LegDynamics:
     evaluation of the model at a state of a leg sliding in direction sigma:
     the Coulomb torque is the constant mu_C sigma, so no sgn(theta_dot) is
     taken, and the friction power is mu_C sigma theta_dot.  The RK4 stages,
-    the event tests (reaction) and the recorded trajectory all read its
-    tuple, so no state is passed through the kernel twice.  derivatives is
-    sliding[0.0], the evaluation without friction: at rest, for the static
-    checks, or undamped.  sliding_array[sigma](forces, theta_dot) takes
-    arrays of states and the leg_forces_array tuple of their angles, for the
-    take-off solver.  All six come from one body, built once per design over
-    the mass constants; the scalar ones call forces, the leg kernel built
-    here, on theta.  inertia and torque are the one expression of the mass
-    matrix D(theta) and of the net torque from rest; reaction, inertia,
-    torque, kinetic and potential take floats or arrays.
+    the event tests (reaction), the recorded trajectory and the equilibrium
+    torque all read its tuple.  derivatives is sliding[0.0], the evaluation
+    without friction: at rest, for the static checks, or undamped.  Each is
+    one flat closure, one Python frame, built once per design: the scalar
+    leg kernel, leg_forces_array's arithmetic in the same order on floats,
+    then the equation of motion.  sliding_array[sigma](forces, theta_dot)
+    is that equation of motion over the leg_forces_array tuple of arrays of
+    states, for the take-off solver; the two agree bit for bit.  inertia and
+    torque are the one expression of the mass matrix D(theta) and of the
+    net torque from rest; reaction, inertia, torque, kinetic and potential
+    take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "energy", "forces", "sliding",
-                 "sliding_array", "derivatives")
+                 "I4", "geom", "model", "energy", "sliding", "sliding_array",
+                 "derivatives")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
         a, a2, mu_C = geom.a, geom.a * geom.a, masses.mu_C
+        p, q, c, l0, exact = geom.p, geom.q, geom.c, geom.l0, geom.exact_derivative
         M1, M2, M3, M4 = masses.mass_coefficients()
         I4 = 4.0 * (masses.I1 + masses.I2)
-        self.a, self.a2, self.p = a, a2, geom.p
+        self.a, self.a2, self.p = a, a2, p
         self.m1, self.m_T, self.g, self.mu_C = masses.m1, masses.m_T, masses.g, mu_C
         self.M1, self.M2, self.M3, self.M4, self.I4 = M1, M2, M3, M4, I4
         self.geom = geom
         self.model = model
         self.energy = model.energy
+        tension, sin, cos = model.tension, math.sin, math.cos
         # The leading products of the expressions below, which evaluate
         # left to right, so binding them here changes no bit.
         m1a2_4, m1_4, a_2 = 4.0 * M1 * a2, 4.0 * M1, 2.0 * a
-        g_m3, mu_4 = masses.g * M3, 4.0 * mu_C
+        g_m3, mu_4, half_sqrt3 = masses.g * M3, 4.0 * mu_C, 0.5 * SQRT3
 
-        def equation_of_motion(forces, sigma):
+        def equation_of_motion(sigma):
             # The Coulomb torque and friction power of a slide in direction
             # sigma; where theta_dot has the sign of sigma they are the
             # mu_4 sgn(theta_dot) and mu_C |theta_dot| of the model, to the bit.
@@ -275,29 +278,44 @@ class _LegDynamics:
             def derivatives(theta, theta_dot):
                 """(theta_dot, theta_ddot, friction power, thrust power, sin,
                 cos, h, lambda, F_l, F_y, h_dot): the RK4 right-hand side, then
-                the kernel values behind it, passed through as they are."""
-                s, co, h, lam, f_l, f_y = forces(theta)
+                the leg-kernel values behind it."""
+                s = sin(theta)
+                co = cos(theta)
+                h = 2.0 * (a * s + p)
+                u = a * co + q
+                if u < ARM_FLOOR:
+                    u = ARM_FLOOR
+                lam = (c + SQRT3 * u) / l0
+                f_l = tension(lam) if lam > 1.0 else 0.0
+                if f_l == 0.0:
+                    f_y = 0.0
+                elif exact:
+                    f_y = f_l * (half_sqrt3 * s / max(co, 1e-12))
+                else:
+                    f_y = f_l * (SQRT3 * h / (4.0 * u))
                 sin2 = 2.0 * s * co
-                cos2 = co * co - s * s
-                denom = a2 * (m1_4 * cos2 + M2) + I4
-                num = (
-                    m1a2_4 * sin2 * theta_dot * theta_dot
-                    - a_2 * co * (g_m3 - 4.0 * f_y)
-                    - friction
-                )
-                tdd = num / denom
+                denom = a2 * (m1_4 * (co * co - s * s) + M2) + I4
+                num = (m1a2_4 * sin2 * theta_dot * theta_dot
+                       - a_2 * co * (g_m3 - 4.0 * f_y) - friction)
                 h_dot = a_2 * co * theta_dot
-                return (theta_dot, tdd, mu_sigma * theta_dot, f_y * h_dot,
+                return (theta_dot, num / denom, mu_sigma * theta_dot, f_y * h_dot,
                         s, co, h, lam, f_l, f_y, h_dot)
 
-            return derivatives
+            def derivatives_array(forces, theta_dot):
+                s, co, h, lam, f_l, f_y = forces
+                sin2 = 2.0 * s * co
+                denom = a2 * (m1_4 * (co * co - s * s) + M2) + I4
+                num = (m1a2_4 * sin2 * theta_dot * theta_dot
+                       - a_2 * co * (g_m3 - 4.0 * f_y) - friction)
+                h_dot = a_2 * co * theta_dot
+                return (theta_dot, num / denom, mu_sigma * theta_dot, f_y * h_dot,
+                        s, co, h, lam, f_l, f_y, h_dot)
 
-        self.forces = leg_kernel(geom, model.tension)
-        directions = (-1.0, 0.0, 1.0)
-        self.sliding = {sigma: equation_of_motion(self.forces, sigma)
-                        for sigma in directions}
-        self.sliding_array = {sigma: equation_of_motion(lambda forces: forces, sigma)
-                              for sigma in directions}
+            return derivatives, derivatives_array
+
+        self.sliding, self.sliding_array = {}, {}
+        for sigma in (-1.0, 0.0, 1.0):
+            self.sliding[sigma], self.sliding_array[sigma] = equation_of_motion(sigma)
         self.derivatives = self.sliding[0.0]
 
     def inertia(self, s, co):
@@ -833,7 +851,7 @@ def _first_integral_takeoff(dm: _LegDynamics, options: SimOptions, d0):
     lo, half = edges[:-1], 0.5 * np.diff(edges)
     s = lo[:, None] + half[:, None] * (x + 1.0)
     theta = th0 + sigma * s * s
-    forces = leg_forces_array(geom, dm.model, theta)
+    forces = leg_forces_array(geom, dm.model.tension, theta)
     sin_th, cos_th, _, _, _, f_y = forces
     inertia = dm.inertia(sin_th, cos_th)
     energy = _integral(2.0 * s * (sigma * dm.torque(cos_th, f_y) - dm.mu_C), half)

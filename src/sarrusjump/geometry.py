@@ -130,8 +130,9 @@ def anchor_distance(geom: LinkageGeometry, theta: float) -> float:
 
     The printed form c + sqrt(12 b^2 h^4 - 3 h^6) / (2 h^2) equals
     c + (sqrt(3)/2) sqrt(4 b^2 - h^2), and 4 b^2 - h^2 = 4 (a cos(theta) + q)^2,
-    so l = c + sqrt(3) (a cos(theta) + q) exactly, evaluated as in
-    thrust.leg_kernel.  Raises when h <= 0, where the printed form is undefined.
+    so l = c + sqrt(3) (a cos(theta) + q) exactly, evaluated as in the leg
+    kernel of _LegDynamics.derivatives and thrust.leg_forces_array.  Raises
+    when h <= 0, where the printed form is undefined.
     """
     check_pose(geom, theta)
     return geom.c + SQRT3 * max(geom.a * math.cos(theta) + geom.q, ARM_FLOOR)

@@ -4,17 +4,19 @@ The vertical thrust is the band tension scaled by the gradient of the anchor
 separation with respect to linkage height, F_y = F_l |dl/dh|.  Reported
 values are magnitudes; a slack band produces zero thrust.
 
-leg_kernel builds, once per design, the scalar evaluation theta -> (h,
-lambda, F_l, F_y) for the scalar API and the integrator;
+leg_forces_array evaluates theta -> (sin, cos, h, lambda, F_l, F_y) on
+theta grids (thrust_profile, the find_equilibria scan, the take-off solver)
+and, at one angle, for the scalar thrust_force and dl_dh.  Its scalar twin
+is the first half of _LegDynamics.derivatives, the integrator's RHS, which
+runs it inline so that one RHS evaluation is one Python frame;
 geometry.anchor_distance repeats its stretch line for the scalar stretch.
-leg_forces_array is its array twin for theta grids (thrust_profile, the
-find_equilibria scan and the take-off solver): the same arithmetic in the
-same order, with numpy in place of math and np.maximum/np.where in place of
-the ifs, so it equals the scalar kernel bit for bit.  The twin is the speed
-path, not a second model (Python 3.11, x86_64): a 500-sample profile takes
-~29 us with it and ~300 us as a scalar loop, and solve_takeoff's F_N scan
-of 936 nodes ~0.12 ms against ~1.5 ms, in a ~0.5 ms solve.  Exact-equality
-tests hold the copies in step: test_leg_forces_array_equals_scalar_kernel and
+The twins do the same arithmetic in the same order, numpy with
+np.maximum/np.where in place of math and ifs, so they agree bit for bit.
+The array form is the speed path, not a second model (Python 3.11, x86_64):
+a 500-sample profile takes ~29 us with it and ~450 us as a loop of the
+scalar RHS.  A scalar thrust_force pays numpy's per-call overhead instead,
+~8 us; no hot path calls it.  Exact-equality tests hold the copies in step:
+test_leg_forces_array_equals_scalar_kernel and
 test_scalar_api_and_integrator_agree_exactly in tests/test_thrust.py.
 """
 
@@ -39,47 +41,22 @@ from .geometry import (
 )
 
 
-def leg_kernel(geom: LinkageGeometry, tension):
-    """forces(theta) -> (sin, cos, h, lambda, F_l, F_y) at leg angle theta,
-    unchecked, with geom and tension read once, here.
+def leg_forces_array(geom: LinkageGeometry, tension, theta):
+    """(sin, cos, h, lambda, F_l, F_y) at the leg angles theta, an array or
+    a float, unchecked: the leg kernel of _LegDynamics.derivatives, with
+    numpy in place of math and np.maximum/np.where in place of its ifs.
 
     tension is a band law's tension method; the band is slack, F_l = 0,
     while lambda <= 1.  The anchor separation is the reduced
     l = c + sqrt(3) (a cos(theta) + q); see dl_dh for the slope convention
     that geom selects.
     """
-    a, p, q, c, l0 = geom.a, geom.p, geom.q, geom.c, geom.l0
-    exact = geom.exact_derivative
-
-    def forces(theta):
-        s = math.sin(theta)
-        co = math.cos(theta)
-        h = 2.0 * (a * s + p)
-        u = a * co + q
-        if u < ARM_FLOOR:
-            u = ARM_FLOOR
-        lam = (c + SQRT3 * u) / l0
-        f_l = tension(lam) if lam > 1.0 else 0.0
-        if f_l == 0.0:
-            return s, co, h, lam, 0.0, 0.0
-        if exact:
-            slope = 0.5 * SQRT3 * s / max(co, 1e-12)
-        else:
-            slope = SQRT3 * h / (4.0 * u)
-        return s, co, h, lam, f_l, f_l * slope
-
-    return forces
-
-
-def leg_forces_array(geom: LinkageGeometry, model: ElasticModel, theta: np.ndarray):
-    """leg_kernel's forces over an array of leg angles: six arrays, each
-    equal to the scalar kernel's column bit for bit."""
     s = np.sin(theta)
     co = np.cos(theta)
     h = 2.0 * (geom.a * s + geom.p)
     u = np.maximum(geom.a * co + geom.q, ARM_FLOOR)
     lam = (geom.c + SQRT3 * u) / geom.l0
-    f_l = np.where(lam > 1.0, model.tension(lam), 0.0)
+    f_l = np.where(lam > 1.0, tension(lam), 0.0)
     if geom.exact_derivative:
         slope = 0.5 * SQRT3 * s / np.maximum(co, 1e-12)
     else:
@@ -102,7 +79,7 @@ def dl_dh(geom: LinkageGeometry, theta: float) -> float:
     """
     _check_theta(theta)
     # Unit tension on a band taut at every angle (lambda >= 2); the slope ignores c.
-    return leg_kernel(replace(geom, c=2.0 * geom.l0), lambda lam: 1.0)(theta)[5]
+    return float(leg_forces_array(replace(geom, c=2.0 * geom.l0), lambda lam: 1.0, theta)[5])
 
 
 def thrust_force(geom: LinkageGeometry, model: ElasticModel, theta: float) -> float:
@@ -112,7 +89,7 @@ def thrust_force(geom: LinkageGeometry, model: ElasticModel, theta: float) -> fl
     convention that geom selects.
     """
     check_pose(geom, theta)
-    return leg_kernel(geom, model.tension)(theta)[5]
+    return float(leg_forces_array(geom, model.tension, theta)[5])
 
 
 def thrust_force_linear(geom: LinkageGeometry, k: float, theta: float) -> float:
@@ -211,7 +188,7 @@ def thrust_profile(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     theta = np.linspace(interval.theta_min, interval.theta_max, n_samples)
-    _, _, h, lam, f_l, f_y = leg_forces_array(geom, model, theta)
+    _, _, h, lam, f_l, f_y = leg_forces_array(geom, model.tension, theta)
     h_max = h.max()
     fy_max = f_y.max()
     return ThrustProfile(

@@ -30,7 +30,7 @@ import sarrusjump.analysis as analysis_module
 import sarrusjump.dynamics as dynamics_module
 from sarrusjump.analysis import _brentq
 from sarrusjump.dynamics import _integrate_raw, _LegDynamics, _rk4
-from sarrusjump.thrust import leg_forces_array, leg_kernel
+from sarrusjump.thrust import leg_forces_array
 
 from params import (
     MU_IDENTIFIED,
@@ -127,7 +127,7 @@ def scalar_scan_equilibria(geom, model, masses, interval, n_scan):
     dm = _LegDynamics(geom, model, masses)
 
     def torque(th):
-        _, co, _, _, _, f_y = leg_kernel(geom, model.tension)(th)
+        _, _, _, _, _, co, _, _, _, f_y, _ = dm.derivatives(th, 0.0)
         return co * (dm.g * dm.M3 - 4.0 * f_y)
 
     grid = np.linspace(interval.theta_min, interval.theta_max, n_scan)
@@ -275,7 +275,7 @@ def first_integral_status(geom, model, masses, theta0, bounds, margin=1e-2, n=20
     sides = []
     for end in (bounds[1], bounds[0]):
         theta = np.linspace(theta0, end, n)
-        _, co, _, _, _, f_y = leg_forces_array(geom, model, theta)
+        _, co, _, _, _, f_y = leg_forces_array(geom, model.tension, theta)
         q = dm.torque(co, f_y)
         sides.append(np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(theta))]))
     ahead, behind = sides if sides[0][1] > 0.0 else sides[::-1]

@@ -499,7 +499,7 @@ def stick_slip_oracle(geom, model, masses, theta0, t_max, n=100_001):
     mu = masses.mu_C
 
     def torque(theta):
-        _, co, _, _, _, f_y = leg_forces_array(geom, model, np.asarray(theta, float))
+        _, co, _, _, _, f_y = leg_forces_array(geom, model.tension, np.asarray(theta, float))
         return dm.torque(co, f_y)
 
     def kinetic(theta, sigma):
@@ -657,36 +657,40 @@ def test_take_off_velocity_monotone_in_damping():
 
 
 def count_kernels(monkeypatch):
-    """Counters of the leg kernels _LegDynamics builds, of the calls into
-    them, and of the RK4 steps."""
+    """Counters of the _LegDynamics built, of the calls into the scalar RHS
+    closures each builds (sliding[sigma], derivatives among them), which
+    evaluate the leg kernel once per call, and of the RK4 steps."""
     calls = {"builds": 0, "kernel": 0, "rk4": 0}
-    build, rk4 = dynamics.leg_kernel, dynamics._rk4
+    build, rk4 = dynamics._LegDynamics.__init__, dynamics._rk4
 
-    def counted_build(*args, **kwargs):
-        calls["builds"] += 1
-        forces = build(*args, **kwargs)
-
-        def counted(theta):
+    def counted(rhs):
+        def counted_rhs(theta, theta_dot):
             calls["kernel"] += 1
-            return forces(theta)
-        return counted
+            return rhs(theta, theta_dot)
+        return counted_rhs
+
+    def counted_build(dm, *args, **kwargs):
+        calls["builds"] += 1
+        build(dm, *args, **kwargs)
+        dm.sliding = {sigma: counted(rhs) for sigma, rhs in dm.sliding.items()}
+        dm.derivatives = dm.sliding[0.0]
 
     def counted_rk4(*args):
         calls["rk4"] += 1
         return rk4(*args)
 
-    monkeypatch.setattr(dynamics, "leg_kernel", counted_build)
+    monkeypatch.setattr(dynamics._LegDynamics, "__init__", counted_build)
     monkeypatch.setattr(dynamics, "_rk4", counted_rk4)
     return calls
 
 
 @pytest.mark.parametrize("record", [True, False])
 def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
-    """The reference run evaluates the kernel 4 times per RK4 step and per
-    bisection iteration (stages 2-4 plus the end-of-step evaluation, which
-    is also the next k1, the event tests and the row), plus the start state,
-    whose tuple the rest check reads, whether or not every step is
-    recorded; it builds the kernel once."""
+    """The reference run evaluates the RHS, and with it the leg kernel, 4
+    times per RK4 step and per bisection iteration (stages 2-4 plus the
+    end-of-step evaluation, which is also the next k1, the event tests and
+    the row), plus the start state, whose tuple the rest check reads,
+    whether or not every step is recorded; it builds one _LegDynamics."""
     calls = count_kernels(monkeypatch)
     run = build_config(default_config())
     traj, summary = simulate_jump(run.geometry, run.elastic, run.masses, run.sim,
@@ -698,10 +702,10 @@ def test_one_kernel_evaluation_per_integrator_node(record, monkeypatch):
 
 
 def test_portrait_kernel_counts(monkeypatch):
-    """A phase portrait builds one kernel and evaluates it 4 times per RK4
-    step, plus once at each release: the nominal releases 0.3 and 1.4 over
-    1 s, once undamped (each forward run mirrored) and once damped, where
-    1.4 does not break free."""
+    """A phase portrait builds one _LegDynamics and evaluates its RHS 4
+    times per RK4 step, plus once at each release: the nominal releases 0.3
+    and 1.4 over 1 s, once undamped (each forward run mirrored) and once
+    damped, where 1.4 does not break free."""
     calls = count_kernels(monkeypatch)
     run = build_config(default_config())
     undamped = replace(run.masses, mu_C=0.0)
@@ -726,8 +730,8 @@ def test_first_integral_takeoff_builds_one_kernel(monkeypatch):
 
 
 def test_find_equilibria_builds_one_kernel(monkeypatch):
-    """find_equilibria builds one leg kernel, its _LegDynamics's, and makes
-    every scalar evaluation through it: each of Brent's, the pi/2 check and
+    """find_equilibria builds one _LegDynamics and makes every scalar
+    evaluation through its derivatives: each of Brent's, the pi/2 check and
     two per classified equilibrium."""
     calls = count_kernels(monkeypatch)
     brent = {"evaluations": 0}
@@ -745,6 +749,30 @@ def test_find_equilibria_builds_one_kernel(monkeypatch):
     assert len(equilibria) == 2 and brent["evaluations"] > 0  # center, pi/2 saddle
     assert calls["builds"] == 1 and calls["rk4"] == 0
     assert calls["kernel"] == brent["evaluations"] + 1 + 2 * len(equilibria)
+
+
+@pytest.mark.parametrize("theta, calls", [(0.3, ["derivatives", "tension"]),
+                                           (1.5, ["derivatives"])],
+                         ids=("taut", "slack"))
+def test_one_rhs_evaluation_enters_one_python_frame(theta, calls):
+    """A sliding[1.0] evaluation runs the leg kernel and the equation of
+    motion in its own frame: the only other Python call it makes is the
+    band law's tension, and only while the band is taut."""
+    rhs = dynamics._LegDynamics(GEOM, MR, M_DAMPED).sliding[1.0]
+    taut = rhs(theta, 1.0)[7] > 1.0
+    assert taut == ("tension" in calls)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        rhs(theta, 1.0)
+    finally:
+        sys.setprofile(None)
+    assert entered == calls
 
 
 # ── group 6: the first-integral take-off solver ───────────────────────────
@@ -840,7 +868,7 @@ def test_derivatives_array_equals_scalar_kernel(law, exact):
     theta = rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)
     theta_dot = rng.uniform(-60.0, 60.0, theta.size)
     theta_dot[::4] = 0.0
-    forces = leg_forces_array(geom, BAND_LAWS[law], theta)
+    forces = leg_forces_array(geom, BAND_LAWS[law].tension, theta)
     assert dm.derivatives is dm.sliding[0.0]
     for sigma in (-1.0, 0.0, 1.0):
         got = dm.sliding_array[sigma](forces, theta_dot)
@@ -859,14 +887,15 @@ def test_derivatives_array_equals_scalar_kernel(law, exact):
 def test_sliding_equals_the_sgn_model_where_the_leg_moves_that_way(law):
     """Where theta_dot has the sign of sigma, sliding[sigma] is the model's
     equation of motion with -4 mu_C sgn(theta_dot) and friction power
-    mu_C |theta_dot|, written out here from inertia, torque and the kernel,
-    to a few ulps; the RK4 hot path takes no sgn."""
+    mu_C |theta_dot|, written out here from inertia, torque and the leg
+    kernel values of the same tuple, to a few ulps; the RK4 hot path takes
+    no sgn."""
     dm = dynamics._LegDynamics(GEOM, BAND_LAWS[law], M_DAMPED)
     rng = np.random.default_rng(16)
     for th, om in zip(rng.uniform(0.05, 1.5, 2000).tolist(),
                       rng.uniform(-30.0, 30.0, 2000).tolist()):
         d = dm.sliding[direction(om)](th, om)
-        s, co, _, _, _, f_y = dm.forces(th)
+        s, co, _, _, _, f_y = d[4:10]
         inertia = dm.inertia(s, co)
         coriolis = 8.0 * dm.M1 * dm.a2 * s * co * om * om
         sgn_model = (coriolis + 4.0 * dm.torque(co, f_y) - 4.0 * dm.mu_C * direction(om)) / inertia

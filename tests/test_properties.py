@@ -32,7 +32,6 @@ from sarrusjump import (
 )
 from sarrusjump.dynamics import TRAJECTORY_CSV_HEADER, _LegDynamics
 from sarrusjump.serialize import write_csv, write_json
-from sarrusjump.thrust import leg_kernel
 
 from params import nominal_geometry, nominal_masses, sim_options
 
@@ -76,10 +75,9 @@ def rising_designs():
 
     def lifts(design):
         geom, law, masses = design
-        dm = _LegDynamics(geom, law, masses)
         for exact in (False, True):
-            exact_geom = replace(geom, exact_derivative=exact)
-            _, co, _, _, _, f_y = leg_kernel(exact_geom, law.tension)(theta0)
+            dm = _LegDynamics(replace(geom, exact_derivative=exact), law, masses)
+            _, _, _, _, _, co, _, _, _, f_y, _ = dm.derivatives(theta0, 0.0)
             if not dm.torque(co, f_y) > 0.0:
                 return False
         return True

@@ -29,7 +29,7 @@ from sarrusjump import (
 
 from sarrusjump.dynamics import _LegDynamics
 from sarrusjump.geometry import ARM_FLOOR
-from sarrusjump.thrust import leg_forces_array, leg_kernel
+from sarrusjump.thrust import leg_forces_array
 
 from params import (
     gaussian_band,
@@ -235,20 +235,6 @@ def test_scalar_api_and_integrator_agree_exactly():
                 assert thrust_force(geom, model, theta) == f_y
 
 
-def test_leg_kernel_rejects_a_stale_positional_argument():
-    """The kernel's slack threshold is lambda = 1, not an argument, so a
-    call in an old form, forces(theta, slack_at) or a slack_at given when
-    the kernel is built, fails loudly instead of reading the extra argument
-    as something else."""
-    forces = leg_kernel(GEOM, MR.tension)
-    with pytest.raises(TypeError):
-        forces(0.3, 1.0)
-    with pytest.raises(TypeError):
-        leg_kernel(GEOM, MR.tension, 1.0)
-    with pytest.raises(TypeError):
-        leg_kernel(GEOM, MR.tension, slack_at=1.0)
-
-
 @pytest.mark.parametrize("geom", (GEOM, EXACT), ids=("default", "exact"))
 def test_dl_dh_holds_at_slack_angles(geom):
     """dl_dh is the geometric slope, band or no band: between the slack
@@ -299,17 +285,18 @@ KERNEL_CASES = {
 @pytest.mark.parametrize("exact", (False, True))
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_leg_forces_array_equals_scalar_kernel(case, exact):
-    """leg_forces_array returns the scalar kernel's six columns to the bit
-    on a 200,001-point grid over [1e-4, pi/2] and on random angles past
-    both ends, where the arm and cos(theta) floors act (RK4 overshoot)."""
+    """leg_forces_array returns the six leg-kernel columns of the scalar
+    RHS, sliding[0.0](theta, 0.0)[4:10], to the bit on a 200,001-point grid
+    over [1e-4, pi/2] and on random angles past both ends, where the arm
+    and cos(theta) floors act (RK4 overshoot)."""
     geom, model = KERNEL_CASES[case]
     geom = replace(geom, exact_derivative=exact)
     rng = np.random.default_rng(5)
     theta = np.concatenate([np.linspace(1e-4, math.pi / 2, 200_001),
                             rng.uniform(-0.2, math.pi / 2 + 0.3, 20_000)])
-    got = leg_forces_array(geom, model, theta)
-    forces = leg_kernel(geom, model.tension)
-    want = np.array([forces(th) for th in theta.tolist()]).T
+    got = leg_forces_array(geom, model.tension, theta)
+    derivatives = _LegDynamics(geom, model, nominal_masses()).sliding[0.0]
+    want = np.array([derivatives(th, 0.0)[4:10] for th in theta.tolist()]).T
     for column, name in enumerate(("sin", "cos", "h", "lambda", "F_l", "F_y")):
         assert got[column].dtype == np.float64
         assert np.array_equal(got[column], want[column]), name
@@ -319,15 +306,18 @@ def test_array_kernel_cases_reach_every_branch():
     """The kernel cases above cover slack and taut bands, zero tension when
     taut, and the arm and cos(theta) floors under tension."""
     theta = np.linspace(1e-4, math.pi / 2, 2001)
-    lam = leg_forces_array(GEOM, MR, theta)[3]
+    lam = leg_forces_array(GEOM, MR.tension, theta)[3]
     assert np.any(lam > 1.0) and np.any(lam <= 1.0)
-    _, _, _, lam, f_l, _ = leg_forces_array(*KERNEL_CASES["linear_k0"], theta)
+    geom, model = KERNEL_CASES["linear_k0"]
+    _, _, _, lam, f_l, _ = leg_forces_array(geom, model.tension, theta)
     assert np.any(lam > 1.0) and np.all(f_l == 0.0)
-    assert np.all(leg_forces_array(*KERNEL_CASES["slack"], theta)[3] <= 1.0)
+    geom, model = KERNEL_CASES["slack"]
+    assert np.all(leg_forces_array(geom, model.tension, theta)[3] <= 1.0)
     pin = KERNEL_CASES["pin"][0]
     assert pin.a * math.cos(math.pi / 2) + pin.q < ARM_FLOOR
     past_stop = np.linspace(math.pi / 2, math.pi / 2 + 0.3, 100)
     taut = replace(TAUT, exact_derivative=True)
-    _, co, _, lam, f_l, _ = leg_forces_array(taut, KERNEL_CASES["taut"][1], past_stop)
+    _, co, _, lam, f_l, _ = leg_forces_array(taut, KERNEL_CASES["taut"][1].tension,
+                                             past_stop)
     assert np.all(co < 1e-12) and np.all(lam > 1.0) and np.all(f_l > 0.0)
 
