@@ -103,6 +103,7 @@ def apply_overrides(cfg: dict, assignments: Sequence[str]) -> dict:
     Only existing keys can be set, except band-law coefficients under
     elastic; setting elastic.model to a known law drops the coefficients it
     does not declare, so the law and its coefficients may come in any order.
+    A path naming a whole section replaces it; build_config checks it.
     """
     for assignment in assignments:
         if "=" not in assignment:
@@ -142,6 +143,8 @@ def build_config(cfg: dict) -> RunConfig:
     for section in DEFAULT_CONFIG:
         if section not in cfg:
             raise ValueError(f"missing config section {section!r}")
+        if not isinstance(cfg[section], dict):
+            raise ValueError(f"config section {section!r} must be an object")
 
     geometry = _build("geometry", LinkageGeometry, cfg["geometry"])
     masses = _build("masses", MassModel, cfg["masses"])
@@ -170,8 +173,13 @@ def build_config(cfg: dict) -> RunConfig:
 
 
 def _build(section: str, cls, values: dict):
-    """cls(**values); a field's error is prefixed with its section, so it
-    names the dotted config key."""
+    """cls(**values) once values has exactly the keys of cls's fields; each
+    error names the dotted config key."""
+    names = [f.name for f in fields(cls)]
+    for key in [*values, *names]:
+        if (key in values) != (key in names):
+            raise ValueError(f"{'missing' if key in names else 'unknown'} "
+                             f"config key {section}.{key}")
     try:
         return cls(**values)
     except ValueError as exc:

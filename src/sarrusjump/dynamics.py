@@ -244,13 +244,14 @@ class _LegDynamics:
     is that equation of motion over the leg_forces_array tuple of arrays of
     states, for the take-off solver; the two agree bit for bit.  inertia and
     torque are the one expression of the mass matrix D(theta) and of the
-    net torque from rest; reaction, inertia, torque, kinetic and potential
-    take floats or arrays.
+    net torque from rest, and sliding_array calls them; the scalar closures
+    write both inline, to stay one frame.  reaction, inertia, torque,
+    kinetic and potential take floats or arrays.
     """
 
     __slots__ = ("a", "a2", "p", "m1", "m_T", "g", "mu_C", "M1", "M2", "M3", "M4",
-                 "I4", "geom", "model", "energy", "sliding", "sliding_array",
-                 "derivatives")
+                 "I4", "geom", "model", "energy", "inertia", "torque", "sliding",
+                 "sliding_array", "derivatives")
 
     def __init__(self, geom: LinkageGeometry, model: ElasticModel, masses: MassModel):
         a, a2, mu_C = geom.a, geom.a * geom.a, masses.mu_C
@@ -267,7 +268,17 @@ class _LegDynamics:
         # The leading products of the expressions below, which evaluate
         # left to right, so binding them here changes no bit.
         m1a2_4, m1_4, a_2 = 4.0 * M1 * a2, 4.0 * M1, 2.0 * a
-        g_m3, mu_4, half_sqrt3 = masses.g * M3, 4.0 * mu_C, 0.5 * SQRT3
+        g_m3, mu_4, half_sqrt3, half_a = masses.g * M3, 4.0 * mu_C, 0.5 * SQRT3, 0.5 * a
+
+        # Closures, not methods: sliding_array holding self would be a cycle.
+        def inertia(s, co):
+            """D(theta) from sin and cos of theta; derivatives() inlines it."""
+            return a2 * (m1_4 * (co * co - s * s) + M2) + I4
+
+        def torque(co, f_y):
+            """Net torque from rest without friction, D(theta) tdd(theta, 0) / 4:
+            the theta_dot = 0 numerator of derivatives() over 4, to the bit."""
+            return half_a * co * (4.0 * f_y - g_m3)
 
         def equation_of_motion(sigma):
             # The Coulomb torque and friction power of a slide in direction
@@ -304,24 +315,19 @@ class _LegDynamics:
             def derivatives_array(forces, theta_dot):
                 s, co, h, lam, f_l, f_y = forces
                 sin2 = 2.0 * s * co
-                denom = a2 * (m1_4 * (co * co - s * s) + M2) + I4
                 num = (m1a2_4 * sin2 * theta_dot * theta_dot
-                       - a_2 * co * (g_m3 - 4.0 * f_y) - friction)
+                       + 4.0 * torque(co, f_y) - friction)
                 h_dot = a_2 * co * theta_dot
-                return (theta_dot, num / denom, mu_sigma * theta_dot, f_y * h_dot,
-                        s, co, h, lam, f_l, f_y, h_dot)
+                return (theta_dot, num / inertia(s, co), mu_sigma * theta_dot,
+                        f_y * h_dot, s, co, h, lam, f_l, f_y, h_dot)
 
             return derivatives, derivatives_array
 
+        self.inertia, self.torque = inertia, torque
         self.sliding, self.sliding_array = {}, {}
         for sigma in (-1.0, 0.0, 1.0):
             self.sliding[sigma], self.sliding_array[sigma] = equation_of_motion(sigma)
         self.derivatives = self.sliding[0.0]
-
-    def inertia(self, s, co):
-        """D(theta), the denominator of the equation of motion, from sin and
-        cos of theta; derivatives() writes the same expression inline."""
-        return self.a2 * (4.0 * self.M1 * (co * co - s * s) + self.M2) + self.I4
 
     @staticmethod
     def direction(d):
@@ -342,12 +348,6 @@ class _LegDynamics:
         theta_dot, tdd, _, _, s, co = d[:6]
         h_dd = 2.0 * self.a * co * tdd - 2.0 * self.a * s * theta_dot * theta_dot
         return h_dd, (self.m_T - self.m1) * h_dd + self.m_T * self.g
-
-    def torque(self, co, f_y):
-        """Net torque from rest without friction, D(theta) tdd(theta, 0) / 4,
-        from cos(theta) and F_y: a quarter of the theta_dot = 0 numerator of
-        derivatives(), to the bit."""
-        return 0.5 * self.a * co * (4.0 * f_y - self.g * self.M3)
 
     def kinetic(self, s, co, theta_dot):
         """D(theta) theta_dot^2 / 8 from sin and cos of theta."""

@@ -152,7 +152,8 @@ def fit_mooney(
 
     The force law is linear in (C1, C2), so the fit is an ordinary linear
     least-squares solve.  Requires at least 3 samples with at least two
-    distinct stretch values above 1 (otherwise the design is rank deficient).
+    distinct stretch values above 1 (otherwise the design is rank deficient);
+    the rank is the one lstsq reads from its own factorisation.
     """
     A0, l0 = finite("A0", A0, "positive"), finite("l0", l0, "positive")
     if len(data) < 3:
@@ -165,9 +166,9 @@ def fit_mooney(
             2.0 * A0 * (1.0 - lam**-3),
         ]
     )
-    if np.linalg.matrix_rank(design) < 2:
+    coeffs, _, rank, _ = np.linalg.lstsq(design, force, rcond=None)
+    if rank < 2:
         raise ValueError("rank-deficient design: need at least two distinct stretches > 1")
-    coeffs, *_ = np.linalg.lstsq(design, force, rcond=None)
     c1, c2 = float(coeffs[0]), float(coeffs[1])
     predicted = design @ coeffs
     rmse, r2 = _fit_quality(force, predicted)

@@ -249,16 +249,14 @@ def common_constraints(mech: SarrusMechanism) -> np.ndarray:
 
 
 def _common(stack: np.ndarray) -> np.ndarray:
-    """Rows of chain 0's triple parallel to a row of every other chain's."""
-    units = [[_normalized(row) for row in triple] for triple in stack]
-    shared = [all(any(_parallel(cand, other) for other in triple) for triple in units[1:])
-              for cand in units[0]]
+    """Rows of chain 0's triple parallel to a row of every other chain's:
+    one batched SVD of every (chain 0 row, chain j row) pair of unit screws,
+    parallel when the pair's smaller singular value is at most _TOL."""
+    units = np.array([[_normalized(row) for row in triple] for triple in stack])
+    pairs = np.stack(np.broadcast_arrays(units[0][:, None, None], units[1:]), axis=-2)
+    sigma = np.linalg.svd(pairs, compute_uv=False)
+    shared = (sigma[..., 1] <= _TOL).any(axis=2).all(axis=1)
     return stack[0][shared]
-
-
-def _parallel(x: np.ndarray, y: np.ndarray) -> bool:
-    """True when two 6-vectors are scalar multiples of each other."""
-    return int(np.linalg.matrix_rank(np.vstack([x, y]), tol=_TOL)) == 1
 
 
 def platform_freedoms(mech: SarrusMechanism) -> np.ndarray:
@@ -363,18 +361,15 @@ def _locked_rank(mech, stack, locks) -> int:
 
 def mobility_report(mech: SarrusMechanism, locks_list=None) -> dict:
     """JSON-ready mobility summary: screws, ranks, common constraints, DOF,
-    motion screws, and optional actuation verdicts."""
+    motion screws, and optional actuation verdicts.  The constraint rank is
+    6 less the motion-screw count, both from reciprocal's one SVD."""
     stack = _constraint_stack(mech)
     constraints = stack.reshape(-1, 6)
     freedoms = reciprocal(constraints)
-    constraint_rank = rank(constraints)
-    chains = []
-    for i in range(mech.n):
-        chains.append({
-            "normal": mech.normals[i].tolist(),
-            "joint_screws": chain_joint_screws(mech, i).tolist(),
-            "constraint_screws": stack[i].tolist(),
-        })
+    constraint_rank = 6 - len(freedoms)
+    chains = [{"normal": mech.normals[i].tolist(),
+               "joint_screws": chain_joint_screws(mech, i).tolist(),
+               "constraint_screws": stack[i].tolist()} for i in range(mech.n)]
     report = {
         "n_chains": mech.n,
         "e_C": mech.e_C.tolist(),
@@ -386,15 +381,9 @@ def mobility_report(mech: SarrusMechanism, locks_list=None) -> dict:
         "chains": chains,
     }
     if locks_list:
-        verdicts = []
-        for locks in locks_list:
-            v = _actuation(mech, stack, constraint_rank, locks)
-            verdicts.append({
-                "locks": [[c, j] for c, j in v.locks],
-                "constraint_rank": v.constraint_rank,
-                "dof": v.dof,
-                "immobilized": v.immobilized,
-                "redundant": v.redundant,
-            })
-        report["actuation"] = verdicts
+        verdicts = [_actuation(mech, stack, constraint_rank, locks) for locks in locks_list]
+        report["actuation"] = [{"locks": [list(lock) for lock in v.locks],
+                                "constraint_rank": v.constraint_rank, "dof": v.dof,
+                                "immobilized": v.immobilized, "redundant": v.redundant}
+                               for v in verdicts]
     return report

@@ -54,6 +54,48 @@ def test_config_unknown_override_rejected():
         apply_overrides(default_config(), ["masses.mu_C"])
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("masses=1", "config section 'masses' must be an object"),
+    ("elastic=5", "config section 'elastic' must be an object"),
+    ('geometry={"a": 0.07}', "missing config key geometry.c"),
+])
+def test_whole_section_override_is_a_config_error(tmp_path, capsys, assignment, message):
+    """A path naming a whole section replaces it, so its value must be an
+    object with every key of the section; anything else exits 1 with one
+    error line."""
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--set", assignment])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_whole_section_override_replaces_the_section():
+    cfg = apply_overrides(default_config(),
+                          ['elastic={"model": "linear", "k": 36.0}', "elastic.k=40"])
+    assert cfg["elastic"] == {"model": "linear", "k": 40}
+    assert build_config(cfg).elastic == LinearSpring(k=40.0, l0=0.085)
+
+
+@pytest.mark.parametrize("section, edit, message", [
+    ("masses", lambda s: 1, "config section 'masses' must be an object"),
+    ("elastic", lambda s: 5, "config section 'elastic' must be an object"),
+    ("geometry", lambda s: {**s, "zz": 1}, "unknown config key geometry.zz"),
+    ("masses", lambda s: {k: v for k, v in s.items() if k != "m1"},
+     "missing config key masses.m1"),
+    ("masses", lambda s: {k: v for k, v in s.items() if k != "mu_C"},
+     "missing config key masses.mu_C"),
+    ("sim", lambda s: {k: v for k, v in s.items() if k != "theta0"},
+     "missing config key sim.theta0"),
+], ids=["masses=1", "elastic=5", "unknown", "missing", "missing-default", "missing-sim"])
+def test_build_config_names_a_bad_section_or_key(section, edit, message):
+    """A section that is not an object, and a key a section does not
+    declare or lacks, are config errors naming the dotted key; a missing
+    key never falls back to a parameter object's default."""
+    cfg = default_config()
+    cfg[section] = edit(cfg[section])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_config(cfg)
+
+
 def test_config_override_switches_band_law():
     cfg = apply_overrides(default_config(), ["elastic.model=gaussian",
                                              "elastic.C0=4.794e-3", "elastic.T=296"])

@@ -10,6 +10,7 @@ Groups:
      fallbacks, and the array twin of the kernel it scans with
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -881,6 +882,19 @@ def test_derivatives_array_equals_scalar_kernel(law, exact):
     s, co, _, _, _, f_y = forces
     rest = free.sliding_array[0.0](forces, np.zeros_like(theta))[1]
     assert np.array_equal(4.0 * free.torque(co, f_y) / free.inertia(s, co), rest)
+
+
+def test_evaluator_is_freed_without_the_cycle_collector():
+    """No closure an evaluator holds refers back to it, so dropping the last
+    reference frees it at once; sweeps build one per design."""
+    gc.collect()
+    gc.disable()
+    try:
+        dm = dynamics._LegDynamics(GEOM, MR, M_DAMPED)
+        del dm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("law", sorted(BAND_LAWS))

@@ -144,6 +144,14 @@ def test_mooney_fit_on_noisy_grid():
     assert fit.r_squared >= 0.99
 
 
+def test_mooney_fit_factorises_once(factorisations):
+    """The fit reads its rank from the lstsq solve, so one Mooney fit is
+    one factorisation."""
+    data = [ForceStretchSample(lam, mooney_force(lam)) for lam in (1.2, 1.6, 2.0, 2.4)]
+    fit_mooney(data, A0=GEOM.A0, l0=GEOM.l0)
+    assert factorisations == ["lstsq"]
+
+
 def test_mooney_fit_rank_deficient_rejected():
     data = [ForceStretchSample(1.5, 1.0)] * 3
     with pytest.raises(ValueError, match="rank"):

@@ -32,7 +32,16 @@ from sarrusjump import (
     reciprocal_product,
     subspace_angle,
 )
-from sarrusjump.screws import _cross, _span, couple, line, rank, reciprocal
+from sarrusjump.screws import (
+    _TOL,
+    _constraint_stack,
+    _cross,
+    _span,
+    couple,
+    line,
+    rank,
+    reciprocal,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -154,6 +163,85 @@ def test_s1_rank_five_with_common_couple():
     s = shared[0]
     assert np.linalg.norm(s[:3]) <= 1e-9 < np.linalg.norm(s[3:])  # a couple
     assert abs(abs(float(unit(s)[3:] @ mech.e_C)) - 1.0) < 1e-12
+
+
+def per_pair_common(stack):
+    """Reference for common_constraints: the rows of chain 0's triple that
+    are parallel to a row of every other chain's triple, one matrix_rank of
+    each stacked pair of unit screws at a time."""
+    def normalised(row):
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
+            raise ValueError("cannot normalise the zero screw")
+        return row / norm
+
+    def parallel(x, y):
+        return int(np.linalg.matrix_rank(np.vstack([x, y]), tol=_TOL)) == 1
+
+    units = [[normalised(row) for row in triple] for triple in stack]
+    shared = [all(any(parallel(cand, other) for other in triple) for triple in units[1:])
+              for cand in units[0]]
+    return stack[0][shared]
+
+
+def vertical_chains(azimuths, theta=0.8, normal=None):
+    """strict=False mechanism of chains standing at the given azimuths,
+    which may repeat or oppose each other; normal replaces chain 0's
+    plane normal when given."""
+    normals, r_a, r_b, r_c = [], [], [], []
+    for az in azimuths:
+        radial = np.array([math.cos(az), math.sin(az), 0.0])
+        normals.append(np.cross(radial, Z))
+        r_a.append(radial)
+        r_b.append(radial + math.cos(theta) * radial + math.sin(theta) * Z)
+        r_c.append(radial + 2 * math.sin(theta) * Z)
+    if normal is not None:
+        normals[0] = normal
+    return SarrusMechanism(tuple(normals), tuple(r_a), tuple(r_b), tuple(r_c), Z,
+                           strict=False)
+
+
+def test_common_constraints_match_the_per_pair_reference():
+    """The batched parallelism test keeps every row the per-pair
+    matrix_rank test keeps: on random Sarrus mechanisms, on random
+    unconstrained chain sets, and on chain planes that repeat, oppose or
+    nearly repeat each other across the _TOL threshold."""
+    rng = np.random.default_rng(18)
+    mechanisms = []
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        mechanisms.append(build_sarrus(n, rng.uniform(0.0, 2 * math.pi, n).tolist(),
+                                       a=float(rng.uniform(0.2, 2.0)),
+                                       theta=float(rng.uniform(0.05, 1.5))))
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        e_c = unit(rng.standard_normal(3))
+        normals = [unit(v) for v in rng.standard_normal((n, 3))]
+        points = [tuple(rng.standard_normal((n, 3))) for _ in range(3)]
+        mechanisms.append(SarrusMechanism(tuple(normals), *points, e_c, strict=False))
+    for azimuths in ([0.0, 0.0], [0.0, math.pi], [0.0, 0.0, math.pi],
+                     [0.3, 0.3 + math.pi, 1.0], [1.0] * 4, [0.0, math.pi, 0.0, math.pi]):
+        mechanisms.append(vertical_chains(azimuths))
+    for delta in (1e-6, 1e-8, 1e-9, 2e-9, 5e-10, 1e-10, 1e-12):
+        mechanisms.append(vertical_chains([0.0, delta]))
+        mechanisms.append(vertical_chains([0.7, 0.7 + delta, 0.7 + math.pi - delta]))
+    kept = 0
+    for mech in mechanisms:
+        want = per_pair_common(_constraint_stack(mech))
+        got = common_constraints(mech)
+        assert np.array_equal(got, want), (mech.normals, got, want)
+        kept += len(want)
+    assert kept > len(mechanisms)  # the common couple, and more where planes repeat
+
+
+def test_common_constraints_reject_the_zero_screw():
+    """A chain plane whose normal is parallel to e_C has a zero couple
+    about e_C x e_i; neither test can normalise it."""
+    mech = vertical_chains(S1_AZIMUTHS, normal=Z)
+    with pytest.raises(ValueError, match="cannot normalise the zero screw"):
+        per_pair_common(_constraint_stack(mech))
+    with pytest.raises(ValueError, match="cannot normalise the zero screw"):
+        common_constraints(mech)
 
 
 def test_parallel_planes_degenerate_rank():
@@ -331,6 +419,22 @@ def test_mechanism_invariants_enforced():
     with pytest.raises(ValueError, match="e_C"):
         SarrusMechanism((Z, mech.normals[1], mech.normals[2]), mech.r_A,
                         mech.r_B, mech.r_C, mech.e_C)
+
+
+@pytest.mark.parametrize("n, locks_list, count", [
+    (3, [[(0, "B")]], 4),
+    (3, None, 2),
+    (5, [[(0, "B"), (1, "B")]], 7),
+])
+def test_mobility_report_factorisation_count(n, locks_list, count, factorisations):
+    """A report factorises the constraint union once (reciprocal, whose
+    nullspace width also gives the rank) and every common-constraint pair
+    in one batched SVD; each lock set adds the SVDs of its locked chains'
+    free joints and of its locked union, and a redundancy check those of
+    the subsets it tries."""
+    mech = build_sarrus(n, [2 * math.pi * j / n for j in range(n)], a=1.0, theta=0.8)
+    mobility_report(mech, locks_list=locks_list)
+    assert len(factorisations) == count, factorisations
 
 
 def test_mobility_report_contents():
